@@ -1,0 +1,45 @@
+"""Check records shared by every suite.
+
+A check reports the window of source degrees it actually verified; a pass
+is always a pass-on-window claim.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+
+@dataclass
+class CheckOutcome:
+    id: str
+    window: tuple
+    status: str  # pass | fail | skipped
+    detail: str = ""
+    failing_block: int = None
+
+    @property
+    def ok(self):
+        return self.status != "fail"
+
+    def as_dict(self):
+        d = {"id": self.id, "window": list(self.window), "status": self.status}
+        if self.detail:
+            d["detail"] = self.detail
+        if self.failing_block is not None:
+            d["first_failing_block"] = self.failing_block
+        return d
+
+
+def zero_check(cid, op) -> CheckOutcome:
+    """Pass when every block of the graded operator vanishes; a failure
+    names the lowest source degree with a nonzero block."""
+    bad = op.first_failing_block()
+    if bad is None:
+        return CheckOutcome(cid, op.window, "pass")
+    return CheckOutcome(
+        cid,
+        op.window,
+        "fail",
+        detail="first failing block at degree %d" % bad,
+        failing_block=bad,
+    )

@@ -124,7 +124,7 @@ def main(argv=None) -> int:
         report = run_suite(args.suite, cfg)
         sys.stdout.write(report.render())
         return 0 if report.status == "pass" else 1
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
 

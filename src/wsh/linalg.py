@@ -78,10 +78,6 @@ def mat_is_zero(A, field):
     return all(a == zero for row in A for a in row)
 
 
-def transpose(A):
-    return [list(col) for col in zip(*A)]
-
-
 def mat_inv(A, field):
     n = len(A)
     zero, one = field.zero, field.one
@@ -297,19 +293,6 @@ def rank_lower_bound(vectors, point=None) -> int:
     return fraction_rank(evaluate_vectors(vectors, point))
 
 
-def certified_rank(vectors, field, upper_hint=None):
-    """Exact rank when cheap: tries specialization points first; when the
-    certified lower bound matches the number of vectors (full rank) that is
-    already exact, otherwise falls back to fraction-free elimination."""
-    n = len(vectors)
-    if n == 0:
-        return 0
-    for point in CERTIFICATE_POINTS:
-        try:
-            lb = rank_lower_bound(vectors, point)
-        except ZeroDivisionError:
-            continue
-        if lb == n or (upper_hint is not None and lb == upper_hint):
-            return lb
-        break
-    return rank_of_vectors(vectors, field)
+def certified_rank_bound(vectors) -> int:
+    """Best rank lower bound over all certificate points."""
+    return max(rank_lower_bound(vectors, pt) for pt in CERTIFICATE_POINTS)

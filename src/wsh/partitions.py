@@ -31,10 +31,6 @@ def partitions_of(n: int):
     return tuple(out)
 
 
-def is_partition(lam) -> bool:
-    return all(a >= b for a, b in zip(lam, lam[1:])) and all(a > 0 for a in lam)
-
-
 def dominates(lam, mu) -> bool:
     """True when lam >= mu in dominance order (same size assumed)."""
     s, t = 0, 0

@@ -1,11 +1,19 @@
-"""Free-algebra presentation layer: abstract generators, normal ordering,
-and the evaluation homomorphism onto graded operators.
+"""Free-algebra presentation layer: abstract generators, the relation
+elements, normal ordering, and the realizations of the free algebra.
 
-Words are built from two truncated alphabets: commuting letters t0[l]
-(1 <= l <= L, mapping to the commuting rank-0 operators) and
-non-commuting letters t1[k] (0 <= k <= K, mapping to the rank-1 raising
-operators).  Normal order puts every t1 letter left of every t0 letter,
-using the cross-alphabet rewrite
+Words are built from two alphabets: commuting letters t0[l]
+(1 <= l <= L) and non-commuting letters t1[k] (0 <= k <= K).  Every
+relation of the presentation is written once, here, as a free element,
+and checked by realizing it:
+
+* on operators (the evaluation map): t0[l] goes to the commuting rank-0
+  operator D_{0,l}, t1[k] to the rank-1 raising operator D_{1,k};
+* on the negative half: the same letters with t1[k] going to the lowering
+  operator D_{-1,k}, as an anti-homomorphism (products reversed);
+* on the shuffle algebra: t1[k] goes to z^k under the star product.
+
+Normal order puts every t1 letter left of every t0 letter, using the
+cross-alphabet rewrite
 
     t0[l] t1[k] -> t1[k] t0[l] + t1[k+l-1]
 
@@ -18,9 +26,10 @@ IndexOverflowError ("index overflow; raise K").
 from __future__ import annotations
 
 import random
+from math import comb
 
 from . import linalg
-from .operators import CheckOutcome, GradedOp
+from .checks import CheckOutcome, zero_check
 
 T0 = "t0"
 T1 = "t1"
@@ -34,11 +43,21 @@ def _word_key(word):
     return (len(word), word)
 
 
+def t1_word(*ks):
+    """The word t1[k_1] t1[k_2] ... as a letter tuple."""
+    return tuple((T1, k) for k in ks)
+
+
+def commutator(a, b):
+    return a * b - b * a
+
+
 class FreeAlgebra:
-    """Bounded free algebra on the two truncated alphabets."""
+    """Free algebra on the two alphabets.  A bound of None leaves that
+    alphabet unbounded; relation_set needs both bounds."""
 
     def __init__(self, field, L=5, K=5):
-        if L < 1 or K < 0:
+        if (L is not None and L < 1) or (K is not None and K < 0):
             raise ValueError("alphabet bounds must satisfy L >= 1, K >= 0")
         self.field = field
         self.L = L
@@ -50,27 +69,26 @@ class FreeAlgebra:
     def one(self) -> "FreeElement":
         return FreeElement(self, {(): self.field.one})
 
+    def _letter(self, kind, idx, lo, hi) -> "FreeElement":
+        if idx < lo or (hi is not None and idx > hi):
+            raise ValueError("%s index %d outside [%d, %s]" % (kind, idx, lo, hi))
+        return FreeElement(self, {((kind, idx),): self.field.one})
+
     def t0(self, l) -> "FreeElement":
-        if not 1 <= l <= self.L:
-            raise ValueError("t0 index %d outside [1, %d]" % (l, self.L))
-        return FreeElement(self, {((T0, l),): self.field.one})
+        return self._letter(T0, l, 1, self.L)
 
     def t1(self, k) -> "FreeElement":
-        if not 0 <= k <= self.K:
-            raise ValueError("t1 index %d outside [0, %d]" % (k, self.K))
-        return FreeElement(self, {((T1, k),): self.field.one})
+        return self._letter(T1, k, 0, self.K)
 
     # -- relation elements --------------------------------------------------
 
     def commuting_relation(self, l, k) -> "FreeElement":
         """[t0[l], t0[k]]: the rank-0 letters commute."""
-        a, b = self.t0(l), self.t0(k)
-        return a * b - b * a
+        return commutator(self.t0(l), self.t0(k))
 
     def cross_relation(self, l, k) -> "FreeElement":
         """[t0[l], t1[k]] - t1[k+l-1]: the cross-alphabet rewrite."""
-        a, b = self.t0(l), self.t1(k)
-        return a * b - b * a - self.t1(k + l - 1)
+        return commutator(self.t0(l), self.t1(k)) - self.t1(k + l - 1)
 
     def quadratic_relation(self) -> "FreeElement":
         """The defining quadratic relation among the t1 letters."""
@@ -82,19 +100,18 @@ class FreeAlgebra:
         """[t1[0], [t1[0], t1[1]]]: the rank-2 derived letter commutes
         with t1[0]."""
         t = self.t1
-        inner = t(0) * t(1) - t(1) * t(0)
-        return t(0) * inner - inner * t(0)
+        return commutator(t(0), commutator(t(0), t(1)))
 
     def rank2_relation(self, k, l) -> "FreeElement":
-        """Two-index family of rank-2 relations among the t1 letters;
-        mirrors the operator-side family term by term."""
+        """Two-index family generating all rank-2 relations among the t1
+        letters; rank2_relation(0, 0) is twice the quadratic relation."""
         t = self.t1
         f = self.field
         three = f.from_int(3)
         kk = f.kappa * (f.kappa - f.one)
 
         def br(a, b):
-            return t(a) * t(b) - t(b) * t(a)
+            return commutator(t(a), t(b))
 
         expr = (
             br(l + 2, k + 1).scale(three)
@@ -108,6 +125,21 @@ class FreeAlgebra:
             t(k) * t(l) + t(l) * t(k) + br(l + 1, k) - br(l, k + 1)
         ).scale(kk)
         return expr + extra
+
+    def exchange_relation(self, l, k) -> "FreeElement":
+        """Coefficient of z^-l w^-k in the generating-function exchange
+        relation with cubic kernel u^3 - (kappa^2-kappa+1)u - kappa(kappa-1)."""
+        f = self.field
+        kap = f.kappa
+        t = self.t1
+        kernel = ((3, f.one), (1, -(kap * kap - kap + 1)), (0, -(kap * (kap - 1))))
+        total = self.zero()
+        for i, ki in kernel:
+            for j in range(i + 1):
+                c = ki * f.from_int(comb(i, j) * (-1) ** j)
+                term = t(l + i - j) * t(k + j) + t(k + i - j) * t(l + j)
+                total = total + term.scale(c)
+        return total
 
     def relation_set(self):
         """All relation elements whose indices fit the alphabet bounds,
@@ -175,6 +207,10 @@ class FreeElement:
                 terms[w] = terms.get(w, zero) + c1 * c2
         return FreeElement(self.algebra, terms)
 
+    def opposite(self) -> "FreeElement":
+        """Image under the anti-automorphism reversing every word."""
+        return FreeElement(self.algebra, {w[::-1]: c for w, c in self.terms.items()})
+
     def __eq__(self, other):
         return (
             isinstance(other, FreeElement)
@@ -222,7 +258,7 @@ class FreeElement:
                 continue
             l = word[pos][1]
             k = word[pos + 1][1]
-            if k + l - 1 > alg.K:
+            if alg.K is not None and k + l - 1 > alg.K:
                 raise IndexOverflowError("index overflow; raise K")
             swapped = (
                 word[:pos] + (word[pos + 1], word[pos]) + word[pos + 2:]
@@ -243,20 +279,59 @@ class FreeElement:
             raise ValueError("element is not rank-homogeneous")
         return ranks.pop()
 
-    def evaluate(self, opctx) -> GradedOp:
-        """Image under the evaluation homomorphism: t0[l] goes to the
-        rank-0 commuting operator, t1[k] to the rank-1 raising operator;
-        words multiply left to right."""
+    def evaluate(self, opctx):
+        """Image under the evaluation homomorphism onto the graded
+        operators of opctx (its realization ``opctx.realize``)."""
+        return opctx.realize(self)
+
+
+class Realization:
+    """Algebra map from the free algebra into a target whose elements
+    support ``scale`` and ``+``: a letter (kind, index) goes to
+    ``letters[kind](index)``, a product of words to ``product(a, b)`` and
+    the empty word to ``unit()``.  With ``anti`` the map reverses products.
+
+    A word is its first letter times the image of the rest (the rest
+    times the first letter when ``anti``), so it is built from its last
+    letter.  Images of words of t1 letters are cached: the relations share
+    those products (the rank-2 family, the quadratic and exchange
+    relations, the kernel certificates), so each is composed once per
+    realization.  A word with a t0 letter occurs in a single relation;
+    keeping it would only raise peak memory.
+    """
+
+    def __init__(self, letters, product, unit, anti=False):
+        self.letters = letters
+        self.product = product
+        self.unit = unit
+        self.anti = anti
+        self._words = {}
+
+    def word(self, w):
+        value = self._words.get(w)
+        if value is None:
+            if not w:
+                value = self.unit()
+            elif len(w) == 1:
+                kind, idx = w[0]
+                value = self.letters[kind](idx)
+            else:
+                head, rest = self.word(w[:1]), self.word(w[1:])
+                value = (
+                    self.product(rest, head) if self.anti
+                    else self.product(head, rest)
+                )
+            if all(kind == T1 for kind, _ in w):
+                self._words[w] = value
+        return value
+
+    def __call__(self, el: FreeElement):
         total = None
-        for w in sorted(self.terms, key=_word_key):
-            op = opctx.identity_op()
-            for kind, idx in reversed(w):
-                gen = opctx.sekiguchi(idx) if kind == T0 else opctx.d1(idx)
-                op = gen.compose(op)
-            op = op.scale(self.terms[w])
-            total = op if total is None else total + op
+        for w, c in el.terms.items():
+            term = self.word(w).scale(c)
+            total = term if total is None else total + term
         if total is None:
-            return opctx.identity_op().scale(opctx.field.zero)
+            return self.word(()).scale(el.algebra.field.zero)
         return total
 
 
@@ -292,23 +367,7 @@ class PresentationContext:
         """Randomized words: evaluation commutes with normal ordering and
         normal ordering is idempotent."""
         alg = self.algebra
-        rng = random.Random(seed)
-        f = self.field
-        for t in range(trials):
-            nletters = rng.randint(1, 3)
-            n1 = rng.randint(0, nletters)  # shared t1 count keeps rank fixed
-            terms = {}
-            for _ in range(2):
-                kinds = [T1] * n1 + [T0] * (nletters - n1)
-                rng.shuffle(kinds)
-                word = tuple(
-                    (kind, rng.randint(0, 2) if kind == T1 else rng.randint(2, 3))
-                    for kind in kinds
-                )
-                terms[word] = terms.get(word, f.zero) + f.from_int(
-                    rng.randint(-3, 3)
-                )
-            x = FreeElement(alg, terms)
+        for t, x in enumerate(random_elements(alg, trials, seed)):
             nx = x.normal_order()
             if nx.normal_order() != nx:
                 return CheckOutcome(
@@ -331,22 +390,10 @@ class PresentationContext:
     def relation_zero_checks(self) -> list:
         """Every relation element of the bounded alphabet evaluates to the
         zero operator."""
-        out = []
-        for rid, el in self.algebra.relation_set():
-            op = el.evaluate(self.opctx)
-            bad = op.first_failing_block()
-            out.append(
-                CheckOutcome(
-                    rid,
-                    op.window,
-                    "pass" if bad is None else "fail",
-                    detail=""
-                    if bad is None
-                    else "first failing block at degree %d" % bad,
-                    failing_block=bad,
-                )
-            )
-        return out
+        return [
+            zero_check(rid, el.evaluate(self.opctx))
+            for rid, el in self.algebra.relation_set()
+        ]
 
     # -- rank-2 kernel matching ----------------------------------------------
 
@@ -369,40 +416,20 @@ class PresentationContext:
         bound for the exact rank, so matching dimensions force equality).
         """
         alg = self.algebra
-        f = self.field
         K = alg.K
         pairs = [(k, l) for k in range(K + 1) for l in range(K + 1)]
         pair_index = {p: i for i, p in enumerate(pairs)}
         sub = range(0, max(K - 2, 0))  # indices with k+3, l+3 within bounds
 
-        basis = linalg.SpanBasis(f)
-        rel_vecs = []
-        for k in sub:
-            for l in sub:
-                v = self._pair_vector(alg.rank2_relation(k, l), pair_index)
-                rel_vecs.append(((k, l), v))
-                basis.add(v)
+        rels = [alg.rank2_relation(k, l) for k in sub for l in sub]
+        basis = linalg.SpanBasis(self.field)
+        for el in rels:
+            basis.add(self._pair_vector(el, pair_index))
         dim_b = basis.dim
 
-        ops = {p: self.opctx.d1(p[0]).compose(self.opctx.d1(p[1])) for p in pairs}
-        included = True
-        for (k, l), v in rel_vecs:
-            total = None
-            for p, c in zip(pairs, v):
-                if c == f.zero:
-                    continue
-                term = ops[p].scale(c)
-                total = term if total is None else total + term
-            if total is not None and not total.is_zero():
-                included = False
-                break
-
-        ovecs = [ops[p].flatten() for p in pairs]
-        lb = max(
-            linalg.rank_lower_bound(ovecs, pt)
-            for pt in linalg.CERTIFICATE_POINTS
-        )
-        dim_a_upper = len(pairs) - lb
+        included = all(el.evaluate(self.opctx).is_zero() for el in rels)
+        ovecs = [self.opctx.realize.word(t1_word(*p)).flatten() for p in pairs]
+        dim_a_upper = len(pairs) - linalg.certified_rank_bound(ovecs)
         dims_equal = included and dim_a_upper == dim_b
 
         window = (0, self.opctx.N)
@@ -430,3 +457,25 @@ class PresentationContext:
             ),
         ]
         return out
+
+
+def random_elements(alg, trials, seed):
+    """Seeded rank-homogeneous elements of at most three letters, two words
+    each, t1 indices in 0..2 and t0 indices in 2..3."""
+    rng = random.Random(seed)
+    f = alg.field
+    out = []
+    for _ in range(trials):
+        nletters = rng.randint(1, 3)
+        n1 = rng.randint(0, nletters)  # shared t1 count keeps rank fixed
+        terms = {}
+        for _ in range(2):
+            kinds = [T1] * n1 + [T0] * (nletters - n1)
+            rng.shuffle(kinds)
+            word = tuple(
+                (kind, rng.randint(0, 2) if kind == T1 else rng.randint(2, 3))
+                for kind in kinds
+            )
+            terms[word] = terms.get(word, f.zero) + f.from_int(rng.randint(-3, 3))
+        out.append(FreeElement(alg, terms))
+    return out

@@ -16,7 +16,8 @@ from fractions import Fraction
 
 from . import linalg
 from .field import RationalFunctionField, SpecializedField
-from .operators import CheckOutcome, OpContext
+from .checks import CheckOutcome
+from .operators import OpContext
 from .partitions import content_power_sum, partitions_of
 from .presentation import PresentationContext
 from .shc import GCONVENTIONS, ShcContext, central_series, omega_preset

@@ -2,6 +2,10 @@
 the central series packaging the mixed commutators, negative-half relation
 checks, and the fit-then-verify test of the central character.
 
+The negative-half relations are the free-algebra relation elements of
+``presentation`` realized as an anti-homomorphism, t1[k] going to the
+lowering operator D_{-1,k} (OpContext.realize_negative).
+
 The central series lives over a commutative ring F[c_0..c_M][d_1..d_{M+1}]
 (with one extra variable w for the omega preset), where d_j stands for the
 degree-zero generator with index j.  With xi = kappa - 1 and
@@ -29,8 +33,9 @@ from __future__ import annotations
 
 from math import comb
 
+from .checks import CheckOutcome, zero_check
 from .multipoly import MultiPoly
-from .operators import CheckOutcome, GradedOp, WindowError, ad
+from .operators import GradedOp, WindowError
 from .partitions import content_power_sum, partitions_of
 from .series import TruncSeries, series_exp
 
@@ -267,7 +272,9 @@ class ShcContext:
     # -- relation checks -----------------------------------------------------
 
     def negative_cross_checks(self, L, K) -> list:
-        """[lowering k, degree-zero l] = lowering k+l-1 on windows."""
+        """[lowering k, degree-zero l] = lowering k+l-1 on windows: the
+        negative image of the cross relation (l, k)."""
+        alg = self.opctx.free
         out = []
         for l in range(1, L + 1):
             for k in range(0, K + 1):
@@ -275,24 +282,11 @@ class ShcContext:
                     continue
                 cid = "neg_cross(%d,%d)" % (k, l)
                 try:
-                    op = ad(
-                        self.lowering(k), self.opctx.sekiguchi(l)
-                    ) - self.lowering(k + l - 1)
+                    op = self.opctx.realize_negative(alg.cross_relation(l, k))
                 except WindowError as e:
                     out.append(CheckOutcome(cid, (0, -1), "skipped", str(e)))
                     continue
-                bad = op.first_failing_block()
-                out.append(
-                    CheckOutcome(
-                        cid,
-                        op.window,
-                        "pass" if bad is None else "fail",
-                        detail=""
-                        if bad is None
-                        else "first failing block at degree %d" % bad,
-                        failing_block=bad,
-                    )
-                )
+                out.append(zero_check(cid, op))
         return out
 
     def split_independence_checks(self, hmax) -> list:
@@ -328,63 +322,32 @@ class ShcContext:
         return out
 
     def negative_relation_checks(self) -> list:
-        """The negative cubic, both readings of the negative quadratic
-        relation, and the adjoint image of the positive quadratic."""
-        E = self.lowering
-        f = self.field
-        kk = f.kappa * (f.kappa - f.one)
-        out = []
-
-        cubic = ad(E(0), ad(E(0), E(1)))
-        bad = cubic.first_failing_block()
-        out.append(
+        """The negative images of the cubic and quadratic relations.  Of
+        the two sign readings of the negative quadratic relation, "minus"
+        is -1 times the negative image and "plus" the image under the
+        homomorphism onto the lowering operators; exactly one vanishes."""
+        neg = self.opctx.realize_negative
+        alg = self.opctx.free
+        cubic = neg(alg.cubic_relation())
+        quad = alg.quadratic_relation()
+        image = neg(quad)
+        minus = image.is_zero()
+        plus = neg(quad.opposite()).is_zero()
+        resolved = "minus" if minus else "plus" if plus else "none"
+        return [
             CheckOutcome(
-                "neg_cubic",
-                cubic.window,
-                "pass" if bad is None else "fail",
-            )
-        )
-
-        base = (
-            ad(E(2), E(1)).scale(f.from_int(3))
-            - ad(E(3), E(0))
-            + ad(E(1), E(0))
-        )
-        statuses = {}
-        for label, sign in (("minus", -f.one), ("plus", f.one)):
-            expr = base + (
-                E(0).compose(E(0)).scale(sign) + ad(E(1), E(0))
-            ).scale(kk)
-            statuses[label] = expr.first_failing_block() is None
-        exactly_one = statuses["minus"] != statuses["plus"]
-        resolved = (
-            "minus" if statuses["minus"] else
-            "plus" if statuses["plus"] else "none"
-        )
-        out.append(
+                "neg_cubic", cubic.window, "pass" if cubic.is_zero() else "fail"
+            ),
             CheckOutcome(
                 "neg_quadratic_variant",
-                base.window,
-                "pass" if exactly_one else "fail",
+                image.window,
+                "pass" if minus != plus else "fail",
                 detail="vanishing variant: %s squared-term sign" % resolved,
-            )
-        )
-
-        mirror = (
-            ad(E(1), E(2)).scale(f.from_int(3))
-            - ad(E(0), E(3))
-            + ad(E(0), E(1))
-            + (E(0).compose(E(0)) + ad(E(0), E(1))).scale(kk)
-        )
-        bad = mirror.first_failing_block()
-        out.append(
+            ),
             CheckOutcome(
-                "neg_adjoint_of_quadratic",
-                mirror.window,
-                "pass" if bad is None else "fail",
-            )
-        )
-        return out
+                "neg_adjoint_of_quadratic", image.window, "pass" if minus else "fail"
+            ),
+        ]
 
     # -- the central-character fit -------------------------------------------
 

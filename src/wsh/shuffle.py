@@ -7,7 +7,9 @@ g(z_i - z_j) = h(z_i - z_j)/(z_i - z_j) across the two blocks, with
     h(u) = (u + 1 - kappa)(u - 1)(u + kappa).
 
 The rational kernel is handled by clearing the full Vandermonde product
-once and dividing exactly at the end.
+once and dividing exactly at the end.  The relations checked here are the
+free-algebra relation elements of ``presentation``, realized with t1[k]
+going to z^k (ShuffleContext.realize).
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ import random
 from itertools import combinations
 
 from . import linalg
+from .checks import CheckOutcome
 from .multipoly import MultiPoly
-from .operators import CheckOutcome
+from .presentation import T1, FreeAlgebra, FreeElement, Realization, t1_word
 
 
 class Kernel:
@@ -151,21 +154,22 @@ def star_product(P: ShuffleElem, Q: ShuffleElem, kernel: Kernel) -> ShuffleElem:
 
 
 class ShuffleContext:
-    """Caches rank-1 products and provides the verification checks."""
+    """The realization of the free algebra (products cached per word) and
+    the verification checks."""
 
     def __init__(self, field):
         self.field = field
         self.kernel = Kernel(field)
-        self._pair = {}
+        self.free = FreeAlgebra(field, L=None, K=None)
+        self.realize = Realization(
+            {T1: lambda k: ShuffleElem.generator(k, field)},
+            lambda a, b: star_product(a, b, self.kernel),
+            lambda: ShuffleElem.unit(field),
+        )
 
     def gen_product(self, k, l) -> ShuffleElem:
         """z^k * z^l, cached."""
-        if (k, l) not in self._pair:
-            f = self.field
-            self._pair[k, l] = star_product(
-                ShuffleElem.generator(k, f), ShuffleElem.generator(l, f), self.kernel
-            )
-        return self._pair[k, l]
+        return self.realize.word(t1_word(k, l))
 
     # -- checks ------------------------------------------------------------
 
@@ -195,18 +199,7 @@ class ShuffleContext:
 
     def quadratic_relation_check(self) -> CheckOutcome:
         """The defining quadratic relation holds inside the shuffle algebra."""
-        f = self.field
-        kk = f.kappa * (f.kappa - f.one)
-
-        def br(a, b):
-            return self.gen_product(a, b) - self.gen_product(b, a)
-
-        expr = (
-            br(2, 1).scale(f.from_int(3))
-            - br(3, 0)
-            + br(1, 0)
-            + (self.gen_product(0, 0) + br(1, 0)).scale(kk)
-        )
+        expr = self.realize(self.free.quadratic_relation())
         return CheckOutcome(
             "shuffle_quadratic_relation", (0, 0), "pass" if expr.is_zero() else "fail"
         )
@@ -298,18 +291,12 @@ class ShuffleContext:
         _, skernel = linalg.kernel_of_vectors(svecs, f)
         out = []
         # exact inclusion: shuffle kernel annihilates the operator products
-        included = True
-        ops = {(k, l): opctx.d1(k).compose(opctx.d1(l)) for k, l in pairs}
-        for v in skernel:
-            total = None
-            for (k, l), c in zip(pairs, v):
-                if c == f.zero:
-                    continue
-                term = ops[k, l].scale(c)
-                total = term if total is None else total + term
-            if total is not None and not total.is_zero():
-                included = False
-                break
+        included = all(
+            opctx.realize(
+                FreeElement(self.free, {t1_word(*p): c for p, c in zip(pairs, v)})
+            ).is_zero()
+            for v in skernel
+        )
         out.append(
             CheckOutcome(
                 "shuffle_rank2_kernel_inclusion(K=%d)" % K,
@@ -318,12 +305,9 @@ class ShuffleContext:
             )
         )
         # dimension certificate for the operator kernel
-        ovecs = [ops[k, l].flatten() for k, l in pairs]
+        ovecs = [opctx.realize.word(t1_word(*p)).flatten() for p in pairs]
         want_rank = len(pairs) - len(skernel)
-        lb = max(
-            linalg.rank_lower_bound(ovecs, pt)
-            for pt in linalg.CERTIFICATE_POINTS
-        )
+        lb = linalg.certified_rank_bound(ovecs)
         dims_ok = included and lb == want_rank
         out.append(
             CheckOutcome(

@@ -103,3 +103,19 @@ def test_unknown_suite_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("jack", "3", "--specialize=-1"),
+        ("verify", "positive", "--max-degree", "4", "--specialize=-1"),
+    ],
+)
+def test_pole_of_kappa_is_a_usage_error(capsys, argv):
+    # kappa = -1 makes the Jack orthogonalization pivot vanish
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

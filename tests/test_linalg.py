@@ -77,7 +77,6 @@ def test_rank_lower_bound_is_exact_here():
     k = F.kappa
     vecs = [[F.one, k], [k, k * k + 1]]
     assert linalg.rank_lower_bound(vecs) == 2
-    assert linalg.certified_rank(vecs, F) == 2
 
 
 def test_rank_drops_only_at_special_points():
@@ -86,7 +85,7 @@ def test_rank_drops_only_at_special_points():
     vecs = [[F.one, F.one], [F.one, k]]
     assert linalg.rank_lower_bound(vecs, Fraction(1)) == 1
     assert linalg.rank_lower_bound(vecs, linalg.CERTIFICATE_POINTS[0]) == 2
-    assert linalg.certified_rank(vecs, F) == 2
+    assert linalg.certified_rank_bound(vecs) == 2
 
 
 def test_clear_denominators_strips_content():

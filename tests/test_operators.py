@@ -2,6 +2,7 @@
 
 import pytest
 
+from wsh.checks import zero_check
 from wsh.operators import OpContext, WindowError, ad
 from wsh.partitions import content_power_sum, partitions_of
 from wsh.symfunc import SymFunc
@@ -58,7 +59,7 @@ def test_defining_relations_small_window(ctx6):
 def test_failing_relation_reports_block(ctx6):
     # a deliberately false identity localizes its first failing degree
     op = ctx6.d1(1) - ctx6.d1(0)
-    out = ctx6._zero_check("bogus", op)
+    out = zero_check("bogus", op)
     assert out.status == "fail"
     assert out.failing_block is not None
     assert out.as_dict()["first_failing_block"] == out.failing_block

@@ -1,14 +1,49 @@
-"""Abstract generators and relations: rewriting and the evaluation map."""
+"""Abstract generators and relations: rewriting and the realizations."""
 
 import pytest
 
-from wsh.presentation import FreeAlgebra, IndexOverflowError
+from wsh.operators import GradedOp, OpContext
+from wsh.presentation import (
+    T0,
+    T1,
+    FreeAlgebra,
+    IndexOverflowError,
+    Realization,
+    random_elements,
+)
 from wsh.symfunc import SymFunc
 
 
 @pytest.fixture(scope="module")
 def A(field):
     return FreeAlgebra(field, L=5, K=5)
+
+
+@pytest.fixture(scope="module")
+def ctx5(field):
+    return OpContext(field, 5)
+
+
+def evaluate_oracle(el, opctx):
+    """Uncached evaluation: every word is composed left to right onto the
+    identity operator."""
+    total = None
+    for w in sorted(el.terms, key=lambda w: (len(w), w)):
+        op = opctx.identity_op()
+        for kind, idx in reversed(w):
+            gen = opctx.sekiguchi(idx) if kind == T0 else opctx.d1(idx)
+            op = gen.compose(op)
+        op = op.scale(el.terms[w])
+        total = op if total is None else total + op
+    if total is None:
+        return opctx.identity_op().scale(opctx.field.zero)
+    return total
+
+
+def assert_same_operator(a, b):
+    assert a.rank == b.rank
+    assert sorted(a.blocks) == sorted(b.blocks)
+    assert a == b
 
 
 def test_cross_rewrite_single_step(A):
@@ -78,3 +113,32 @@ def test_quadratic_is_half_diagonal_rank2(A):
     lhs = A.quadratic_relation().scale(A.field.from_int(2)).normal_order()
     rhs = A.rank2_relation(0, 0).normal_order()
     assert lhs == rhs
+
+
+def test_cached_evaluation_matches_oracle_on_random_words(A, ctx5):
+    # the seeded elements of the normal-order soundness check
+    for x in random_elements(A, 8, 421):
+        for el in (x, x.normal_order()):
+            assert_same_operator(el.evaluate(ctx5), evaluate_oracle(el, ctx5))
+
+
+def test_cached_evaluation_matches_oracle_on_relations(A, ctx5):
+    for rid, el in A.relation_set():
+        got = el.evaluate(ctx5)
+        assert_same_operator(got, evaluate_oracle(el, ctx5))
+        assert got.is_zero(), rid
+
+
+def test_exchange_relation_realizes_to_zero(ctx5):
+    assert ctx5.realize(ctx5.free.exchange_relation(0, 0)).is_zero()
+
+
+def test_quadratic_on_the_negative_half(ctx5):
+    quad = ctx5.free.quadratic_relation()
+    # the anti-homomorphic image vanishes ...
+    assert ctx5.realize_negative(quad).is_zero()
+    # ... the homomorphic image onto the lowering operators does not
+    hom = Realization({T1: ctx5.lowering}, GradedOp.compose, ctx5.identity_op)
+    image = hom(quad)
+    assert not image.is_zero()
+    assert_same_operator(ctx5.realize_negative(quad.opposite()), image)
