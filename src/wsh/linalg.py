@@ -2,7 +2,9 @@
 
 Two layers:
 
-* generic Gauss-Jordan over field elements (inverse, small solves);
+* dense matrices: a fraction-free product, which multiplies in Z[kappa]
+  and reduces each result entry once, and Gauss-Jordan inversion over
+  field elements;
 * fraction-free echelon forms ("SpanBasis") that clear denominators and
   run on integer kappa-polynomial rows, with content stripping to control
   coefficient blowup.  Rank, membership, and kernels all go through this.
@@ -19,6 +21,8 @@ from math import gcd
 from . import _poly as P
 from .field import FieldElem
 
+_ONE = (1,)
+
 # ----------------------------------------------------------------------
 # generic dense matrices (tuples/lists of rows of field elements)
 # ----------------------------------------------------------------------
@@ -31,22 +35,85 @@ def identity(n, field):
 
 
 def mat_mul(A, B, field):
+    """Exact product A·B, fraction-free.
+
+    Each row of A and each column of B is brought to a common denominator
+    once; the entries are then accumulated as integer kappa-polynomials
+    (plain ints when kappa is specialized), and each result entry is
+    reduced once, from its numerator over row_den[i]·col_den[j].
+    """
     if A and len(A[0]) != len(B):
         raise ValueError("dimension mismatch")
     nb = len(B[0]) if B else 0
     zero = field.zero
-    out = [[zero] * nb for _ in range(len(A))]
-    for i, row in enumerate(A):
-        oi = out[i]
-        for k, a in enumerate(row):
-            if a == zero:
-                continue
-            bk = B[k]
-            for j in range(nb):
-                b = bk[j]
-                if b != zero:
-                    oi[j] = oi[j] + a * b
+    if field.mode == "specialized":
+        return _mat_mul_rational(A, B, nb, zero)
+    rows = [_common_denominator(row) for row in A]
+    cols = [_common_denominator(col) for col in zip(*B)]
+    bnums = list(zip(*(nums for _, nums in cols)))
+    pmul, padd = P.pmul, P.padd
+    out = []
+    for rden, anums in rows:
+        acc = [()] * nb
+        for a, bk in zip(anums, bnums):
+            if a:
+                for j, b in enumerate(bk):
+                    if b:
+                        acc[j] = padd(acc[j], pmul(a, b))
+        out.append(
+            [
+                FieldElem(num, pmul(rden, cden)) if num else zero
+                for num, (cden, _) in zip(acc, cols)
+            ]
+        )
     return out
+
+
+def _common_denominator(vec):
+    """(den, nums): the lcm of the denominators of a FieldElem vector and
+    the integer numerators over it."""
+    den = _ONE
+    for x in vec:
+        d = x.den
+        if d != _ONE and d != den:
+            den = P.pmul(den, P.pdivexact(d, P.pgcd(den, d)))
+    return den, [
+        x.num if x.den == den else P.pmul(x.num, P.pdivexact(den, x.den))
+        for x in vec
+    ]
+
+
+def _mat_mul_rational(A, B, nb, zero):
+    """mat_mul on Fractions: the same scheme with int numerators."""
+    rows = [_common_int_denominator(row) for row in A]
+    cols = [_common_int_denominator(col) for col in zip(*B)]
+    bnums = list(zip(*(nums for _, nums in cols)))
+    out = []
+    for rden, anums in rows:
+        acc = [0] * nb
+        for a, bk in zip(anums, bnums):
+            if a:
+                for j, b in enumerate(bk):
+                    if b:
+                        acc[j] += a * b
+        out.append(
+            [
+                Fraction(num, rden * cden) if num else zero
+                for num, (cden, _) in zip(acc, cols)
+            ]
+        )
+    return out
+
+
+def _common_int_denominator(vec):
+    """(den, nums): the lcm of the denominators of a Fraction vector and
+    the int numerators over it."""
+    den = 1
+    for x in vec:
+        d = x.denominator
+        if d != 1 and den % d:
+            den = den * d // gcd(den, d)
+    return den, [x.numerator * (den // x.denominator) for x in vec]
 
 
 def mat_vec(A, v, field):
@@ -105,22 +172,14 @@ def clear_denominators(vec, field):
     """Field-element vector -> integer kappa-polynomial row (common
     denominator removed, content stripped)."""
     if field.mode == "specialized":
-        den = 1
-        for x in vec:
-            den = den * x.denominator // gcd(den, x.denominator)
-        ints = [int(x * den) for x in vec]
+        _, ints = _common_int_denominator(vec)
         g = 0
         for c in ints:
             g = gcd(g, c)
         if g > 1:
             ints = [c // g for c in ints]
         return [(c,) if c else () for c in ints]
-    lcm = (1,)
-    for x in vec:
-        d = x.den
-        g = P.pgcd(lcm, d)
-        lcm = P.pmul(lcm, P.pdivexact(d, g))
-    row = [P.pmul(x.num, P.pdivexact(lcm, x.den)) for x in vec]
+    _, row = _common_denominator(vec)
     return _strip_content(row)
 
 
@@ -288,11 +347,26 @@ def fraction_rank(rows) -> int:
 
 
 def rank_lower_bound(vectors, point=None) -> int:
-    """Rank certificate by rational specialization (exact lower bound)."""
+    """Rank certificate by rational specialization (exact lower bound).
+    A point at a pole of some entry certifies nothing: the bound is 0."""
     point = point or CERTIFICATE_POINTS[0]
-    return fraction_rank(evaluate_vectors(vectors, point))
+    try:
+        rows = evaluate_vectors(vectors, point)
+    except ZeroDivisionError:
+        return 0
+    return fraction_rank(rows)
 
 
-def certified_rank_bound(vectors) -> int:
-    """Best rank lower bound over all certificate points."""
-    return max(rank_lower_bound(vectors, pt) for pt in CERTIFICATE_POINTS)
+def certified_rank_bound(vectors, cap=None) -> int:
+    """Best rank lower bound over all certificate points.
+
+    ``cap`` is an upper bound on the rank that the caller has already
+    proved; no point can certify more, so the search stops at the first
+    point that reaches it.
+    """
+    best = 0
+    for pt in CERTIFICATE_POINTS:
+        best = max(best, rank_lower_bound(vectors, pt))
+        if cap is not None and best >= cap:
+            break
+    return best

@@ -429,7 +429,9 @@ class PresentationContext:
 
         included = all(el.evaluate(self.opctx).is_zero() for el in rels)
         ovecs = [self.opctx.realize.word(t1_word(*p)).flatten() for p in pairs]
-        dim_a_upper = len(pairs) - linalg.certified_rank_bound(ovecs)
+        # with the relations in the kernel, the rank is at most this cap
+        cap = len(pairs) - dim_b if included else None
+        dim_a_upper = len(pairs) - linalg.certified_rank_bound(ovecs, cap)
         dims_equal = included and dim_a_upper == dim_b
 
         window = (0, self.opctx.N)

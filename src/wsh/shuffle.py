@@ -307,7 +307,7 @@ class ShuffleContext:
         # dimension certificate for the operator kernel
         ovecs = [opctx.realize.word(t1_word(*p)).flatten() for p in pairs]
         want_rank = len(pairs) - len(skernel)
-        lb = linalg.certified_rank_bound(ovecs)
+        lb = linalg.certified_rank_bound(ovecs, want_rank if included else None)
         dims_ok = included and lb == want_rank
         out.append(
             CheckOutcome(
@@ -345,27 +345,25 @@ class ShuffleContext:
         )
         return out
 
-    def exchange_samples_check(self, opctx, samples=3, seed=73) -> CheckOutcome:
-        """Deterministically sampled coefficient instances of the
-        generating-function exchange identity, evaluated on operators."""
-        rng = random.Random(seed)
-        tried = []
-        for _ in range(samples):
-            l, k = rng.randint(3, 4), rng.randint(3, 4)
-            tried.append((l, k))
+    def exchange_samples_check(self, opctx, indices=(3, 4)) -> CheckOutcome:
+        """Coefficient instances (l, k) of the generating-function exchange
+        identity, evaluated on operators for every pair of ``indices``."""
+        grid = [(l, k) for l in indices for k in indices]
+        window = (0, len(grid) - 1)
+        for l, k in grid:
             res = opctx.check_relation("exchange", l, k)
             if res.status == "fail":
                 return CheckOutcome(
                     "shuffle_exchange_samples",
-                    (0, samples - 1),
+                    window,
                     "fail",
                     detail="instance %r" % ((l, k),),
                 )
         return CheckOutcome(
             "shuffle_exchange_samples",
-            (0, samples - 1),
+            window,
             "pass",
-            detail="instances %s" % (tried,),
+            detail="instances %s" % (grid,),
         )
 
     def rank3_span_check(self, opctx, amax=3) -> CheckOutcome:

@@ -183,8 +183,15 @@ class SymmetricFunctions:
         return self._jack[n]
 
     def jack_matrix_inv(self, n):
+        """C^-1 = diag(1/<J_lam,J_lam>) C^T diag(gram_diag(n)), from the
+        orthogonality of the Jack basis for the pairing."""
         if n not in self._jack_inv:
-            self._jack_inv[n] = linalg.mat_inv(self.jack_matrix(n), self.field)
+            g = self.gram_diag(n)
+            inv = []
+            for col in zip(*self.jack_matrix(n)):
+                norm = self._pairing(n, col, col)
+                inv.append([x * gi / norm for x, gi in zip(col, g)])
+            self._jack_inv[n] = inv
         return self._jack_inv[n]
 
     def _compute_jack(self, n):

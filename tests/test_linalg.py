@@ -1,13 +1,21 @@
 """Exact linear algebra: elimination, spans, kernels, certificates."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from conftest import mat_mul_oracle
 
 from wsh import linalg
-from wsh.field import RationalFunctionField
+from wsh.field import RationalFunctionField, SpecializedField
 
 F = RationalFunctionField()
+S = SpecializedField(Fraction(7, 3))
+
+# denominators of the random exact matrices: 1, kappa^j, kappa + 1 and a
+# degree-3 factor, alone and in products
+_K = F.kappa
+_DENS = (F.one, _K, _K**3, _K + 1, _K**3 - 2 * _K + 5, _K**2 * (_K + 1))
 
 
 def fe(n, d=1):
@@ -91,3 +99,100 @@ def test_rank_drops_only_at_special_points():
 def test_clear_denominators_strips_content():
     row = linalg.clear_denominators([fe(2, 3), fe(4, 3)], F)
     assert row == [(1,), (2,)]
+
+
+def _random_exact(rng, rows, cols):
+    def entry():
+        if rng.random() < 0.3:
+            return F.zero
+        num = F.zero
+        for e in range(rng.randint(0, 2) + 1):
+            num = num + F.from_int(rng.randint(-4, 4)) * _K**e
+        return num / rng.choice(_DENS)
+
+    return [[entry() for _ in range(cols)] for _ in range(rows)]
+
+
+def _random_rational(rng, rows, cols):
+    def entry():
+        if rng.random() < 0.3:
+            return S.zero
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 6, 35, 1024)))
+
+    return [[entry() for _ in range(cols)] for _ in range(rows)]
+
+
+def _zero_line(rng, A, B, field):
+    """Zero one row of A and one column of B."""
+    if A and A[0]:
+        A[rng.randrange(len(A))] = [field.zero] * len(A[0])
+    if B and B[0]:
+        j = rng.randrange(len(B[0]))
+        for row in B:
+            row[j] = field.zero
+
+
+@pytest.mark.parametrize(
+    "field, random_matrix", [(F, _random_exact), (S, _random_rational)]
+)
+def test_mat_mul_matches_entrywise_oracle(field, random_matrix):
+    rng = random.Random(20260)
+    shapes = [(3, 3, 3), (4, 5, 2), (1, 4, 1), (5, 1, 4), (2, 6, 3)]
+    for trial in range(4):
+        for m, k, n in shapes:
+            A = random_matrix(rng, m, k)
+            B = random_matrix(rng, k, n)
+            if trial % 2:
+                _zero_line(rng, A, B, field)
+            assert linalg.mat_mul(A, B, field) == mat_mul_oracle(A, B, field)
+
+
+@pytest.mark.parametrize("field", [F, S])
+def test_mat_mul_degenerate_shapes(field):
+    A = [[field.one, field.kappa]]
+    assert linalg.mat_mul([[], []], [], field) == [[], []]
+    assert linalg.mat_mul([], A, field) == []
+    assert linalg.mat_mul([[field.one], [field.zero]], [[]], field) == [[], []]
+    assert linalg.mat_mul([[field.zero]], A, field) == [[field.zero] * 2]
+    with pytest.raises(ValueError):
+        linalg.mat_mul(A, A, field)
+
+
+def test_mat_mul_specialized_returns_fractions():
+    A = [[Fraction(1, 2), Fraction(0)], [Fraction(2, 3), Fraction(5, 7)]]
+    got = linalg.mat_mul(A, A, S)
+    assert all(type(x) is Fraction for r in got for x in r)
+    assert got == mat_mul_oracle(A, A, S)
+
+
+def test_certified_rank_bound_cap_never_changes_the_bound():
+    rng = random.Random(5)
+    cases = []
+    for rows, cols in ((4, 3), (3, 5), (5, 5)):
+        vecs = _random_exact(rng, rows, cols)
+        vecs.append([a + b for a, b in zip(vecs[0], vecs[1])])  # dependent
+        cases.append(vecs)
+    # rank 2, but only 1 at the first certificate point
+    drop = F.from_fraction(linalg.CERTIFICATE_POINTS[0])
+    cases.append([[F.one, F.one], [F.one, F.kappa / drop]])
+    for vecs in cases:
+        full = linalg.certified_rank_bound(vecs)
+        rank = linalg.rank_of_vectors(vecs, F)
+        for cap in range(rank, rank + 3):
+            assert linalg.certified_rank_bound(vecs, cap=cap) == full
+    assert linalg.rank_lower_bound(cases[-1]) == 1
+    assert linalg.certified_rank_bound(cases[-1], cap=2) == 2
+
+
+def test_certificate_point_at_a_pole_is_skipped():
+    k = F.kappa
+    pole = linalg.CERTIFICATE_POINTS[0]
+    at_pole = F.one / (k - F.from_fraction(pole))
+    vecs = [[at_pole, F.one], [F.one, k]]
+    assert linalg.rank_lower_bound(vecs, pole) == 0
+    assert linalg.rank_lower_bound(vecs, linalg.CERTIFICATE_POINTS[1]) == 2
+    assert linalg.certified_rank_bound(vecs) == 2
+    every_pole = F.one
+    for pt in linalg.CERTIFICATE_POINTS:
+        every_pole = every_pole / (k - F.from_fraction(pt))
+    assert linalg.certified_rank_bound([[every_pole, F.one]]) == 0

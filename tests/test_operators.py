@@ -1,8 +1,13 @@
 """Graded operators on the polynomial representation."""
 
-import pytest
+from fractions import Fraction
 
+import pytest
+from conftest import mat_mul_oracle
+
+from wsh import linalg
 from wsh.checks import zero_check
+from wsh.field import SpecializedField
 from wsh.operators import OpContext, WindowError, ad
 from wsh.partitions import content_power_sum, partitions_of
 from wsh.symfunc import SymFunc
@@ -23,6 +28,21 @@ def test_sekiguchi_diagonal_on_jack(ctx6):
             eigs = ctx6.jack_eigenvalues(op, n)
             for lam, e in zip(partitions_of(n), eigs):
                 assert e == content_power_sum(lam, l, F)
+
+
+@pytest.mark.parametrize("kappa", [None, Fraction(9, 4)])
+def test_sekiguchi_matches_entrywise_conjugation(field, kappa):
+    # C diag C^-1 with the entrywise product and Gauss-Jordan inverse
+    F = field if kappa is None else SpecializedField(kappa)
+    ctx = OpContext(F, 5)
+    for l in (1, 2, 3, 4):
+        op = ctx.sekiguchi(l)
+        for n in range(ctx.N + 1):
+            C = ctx.sym.jack_matrix(n)
+            eigs = [content_power_sum(lam, l, F) for lam in partitions_of(n)]
+            mid = [[c * e for c, e in zip(row, eigs)] for row in C]
+            want = mat_mul_oracle(mid, linalg.mat_inv(C, F), F)
+            assert op.block(n) == want
 
 
 def test_sekiguchi_degree_two_eigenvalues(ctx6):

@@ -83,4 +83,7 @@ def test_rank2_kernel_certificates(sc, ctx6):
 
 
 def test_exchange_samples(sc, ctx6):
-    assert sc.exchange_samples_check(ctx6, samples=2).status == "pass"
+    res = sc.exchange_samples_check(ctx6)
+    assert res.status == "pass"
+    assert res.window == (0, 3)
+    assert res.detail == "instances [(3, 3), (3, 4), (4, 3), (4, 4)]"

@@ -82,3 +82,10 @@ def test_jack_matrix_inverse():
         M = S.jack_matrix(n)
         Minv = S.jack_matrix_inv(n)
         assert linalg.mat_mul(M, Minv, F) == linalg.identity(len(M), F)
+
+
+def test_jack_inverse_from_orthogonality_matches_gauss_jordan():
+    from wsh import linalg
+
+    for n in range(7):
+        assert S.jack_matrix_inv(n) == linalg.mat_inv(S.jack_matrix(n), F)
