@@ -345,10 +345,10 @@ class ShuffleContext:
         )
         return out
 
-    def exchange_samples_check(self, opctx, indices=(3, 4)) -> CheckOutcome:
-        """Coefficient instances (l, k) of the generating-function exchange
-        identity, evaluated on operators for every pair of ``indices``."""
-        grid = [(l, k) for l in indices for k in indices]
+    def exchange_samples_check(self, opctx) -> CheckOutcome:
+        """Coefficient instances (l, k), for every (l, k) in {3,4}^2, of the
+        generating-function exchange identity, evaluated on operators."""
+        grid = [(l, k) for l in (3, 4) for k in (3, 4)]
         window = (0, len(grid) - 1)
         for l, k in grid:
             res = opctx.check_relation("exchange", l, k)
