@@ -38,34 +38,62 @@ def mat_mul(A, B, field):
     """Exact product A·B, fraction-free.
 
     Each row of A and each column of B is brought to a common denominator
-    once; the entries are then accumulated as integer kappa-polynomials
-    (plain ints when kappa is specialized), and each result entry is
-    reduced once, from its numerator over row_den[i]·col_den[j].
+    once; the integer kappa-polynomial numerators are packed into ints
+    (plain ints when kappa is specialized) and accumulated with int
+    arithmetic, and each result entry is reduced once, from its numerator
+    over row_den[i]·col_den[j].
     """
     if A and len(A[0]) != len(B):
         raise ValueError("dimension mismatch")
     nb = len(B[0]) if B else 0
     zero = field.zero
     if field.mode == "specialized":
-        return _mat_mul_rational(A, B, nb, zero)
+        rows = [_common_int_denominator(row) for row in A]
+        cols = [_common_int_denominator(col) for col in zip(*B)]
+        acc = _int_mat_mul(
+            [nums for _, nums in rows], [nums for _, nums in cols], nb
+        )
+        return [
+            [
+                Fraction(num, rden * cden) if num else zero
+                for num, (cden, _) in zip(accrow, cols)
+            ]
+            for accrow, (rden, _) in zip(acc, rows)
+        ]
     rows = [_common_denominator(row) for row in A]
     cols = [_common_denominator(col) for col in zip(*B)]
-    bnums = list(zip(*(nums for _, nums in cols)))
-    pmul, padd = P.pmul, P.padd
+    w = _slot_width(
+        len(B)
+        * max((_norm1(a) for _, nums in rows for a in nums), default=0)
+        * max((_norm_inf(b) for _, nums in cols for b in nums), default=0)
+    )
+    acc = _int_mat_mul(
+        [[_pack(a, w) for a in nums] for _, nums in rows],
+        [[_pack(b, w) for b in nums] for _, nums in cols],
+        nb,
+    )
+    pmul = P.pmul
+    return [
+        [
+            FieldElem(_unpack(num, w), pmul(rden, cden)) if num else zero
+            for num, (cden, _) in zip(accrow, cols)
+        ]
+        for accrow, (rden, _) in zip(acc, rows)
+    ]
+
+
+def _int_mat_mul(arows, bcols, nb):
+    """Product of int matrices given as rows of A and columns of B."""
+    bnums = list(zip(*bcols))
     out = []
-    for rden, anums in rows:
-        acc = [()] * nb
+    for anums in arows:
+        acc = [0] * nb
         for a, bk in zip(anums, bnums):
             if a:
                 for j, b in enumerate(bk):
                     if b:
-                        acc[j] = padd(acc[j], pmul(a, b))
-        out.append(
-            [
-                FieldElem(num, pmul(rden, cden)) if num else zero
-                for num, (cden, _) in zip(acc, cols)
-            ]
-        )
+                        acc[j] += a * b
+        out.append(acc)
     return out
 
 
@@ -83,28 +111,6 @@ def _common_denominator(vec):
     ]
 
 
-def _mat_mul_rational(A, B, nb, zero):
-    """mat_mul on Fractions: the same scheme with int numerators."""
-    rows = [_common_int_denominator(row) for row in A]
-    cols = [_common_int_denominator(col) for col in zip(*B)]
-    bnums = list(zip(*(nums for _, nums in cols)))
-    out = []
-    for rden, anums in rows:
-        acc = [0] * nb
-        for a, bk in zip(anums, bnums):
-            if a:
-                for j, b in enumerate(bk):
-                    if b:
-                        acc[j] += a * b
-        out.append(
-            [
-                Fraction(num, rden * cden) if num else zero
-                for num, (cden, _) in zip(acc, cols)
-            ]
-        )
-    return out
-
-
 def _common_int_denominator(vec):
     """(den, nums): the lcm of the denominators of a Fraction vector and
     the int numerators over it."""
@@ -114,6 +120,48 @@ def _common_int_denominator(vec):
         if d != 1 and den % d:
             den = den * d // gcd(den, d)
     return den, [x.numerator * (den // x.denominator) for x in vec]
+
+
+# Kronecker substitution: an integer polynomial (coefficient tuple) is
+# packed into one int by evaluating it at 2^w, so a product of polynomials
+# is one int product.  Slots are signed: unpacking is exact as long as
+# every coefficient of the packed value lies strictly inside ±2^(w-1).
+
+
+def _norm1(p):
+    return sum(map(abs, p))
+
+
+def _norm_inf(p):
+    return max(map(abs, p), default=0)
+
+
+def _slot_width(bound):
+    """Slot width for values whose coefficients are at most ``bound`` in
+    absolute value, e.g. (Σ‖a‖₁)·max‖b‖∞ for a sum of products a·b."""
+    return bound.bit_length() + 2
+
+
+def _pack(p, w):
+    """The integer polynomial p evaluated at 2^w."""
+    n = 0
+    for c in reversed(p):
+        n = (n << w) + c
+    return n
+
+
+def _unpack(n, w):
+    """The coefficient tuple (no trailing zeros) of the packed value n."""
+    out = []
+    mask = (1 << w) - 1
+    half = 1 << (w - 1)
+    while n:
+        c = n & mask
+        if c >= half:
+            c -= 1 << w
+        out.append(c)
+        n = (n - c) >> w
+    return tuple(out)
 
 
 def mat_vec(A, v, field):

@@ -3,11 +3,47 @@
 Used for shuffle-algebra elements in z_1..z_n and for the commutative ring
 of central parameters and degree-zero generators that houses the E-series.
 Terms are stored as a dict {exponent tuple: nonzero coefficient}.
+
+The product is fraction-free, like ``linalg.mat_mul``: each operand is
+brought to one common denominator, and its integer image (the numerators,
+Z[kappa] packed into ints by Kronecker substitution, or plain ints when
+kappa is specialized) is a polynomial over INTEGERS.  Images are
+multiplied with int arithmetic only, and each result coefficient is
+reduced once, when the image is divided by the denominators again.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import reduce
 from itertools import permutations
+from math import prod
+
+from . import _poly as P
+from .field import FieldElem
+from .linalg import (
+    _common_denominator,
+    _common_int_denominator,
+    _norm1,
+    _norm_inf,
+    _pack,
+    _slot_width,
+    _unpack,
+)
+
+
+class _Integers:
+    """The integers as the coefficient ring of integer images."""
+
+    mode = "integer"
+    zero = 0
+    one = 1
+
+    def from_int(self, n):
+        return n
+
+
+INTEGERS = _Integers()
 
 
 class MultiPoly:
@@ -86,17 +122,38 @@ class MultiPoly:
                 self.nvars, {e: v * c for e, v in self.terms.items()}, self.field
             )
         self._check(other)
-        zero = self.field.zero
+        field = self.field
+        if field is INTEGERS:
+            return self._int_product(other)
+        if not self.terms or not other.terms:
+            return MultiPoly.zero(self.nvars, field)
+        da, a = self.cleared()
+        db, b = other.cleared()
+        w = None
+        if field.mode == "exact":
+            w = _slot_width(sum(map(_norm1, a)) * max(map(_norm_inf, b)))
+        image = self.integer_image(a, w)._int_product(other.integer_image(b, w))
+        return image.over((da, db), w, field)
+
+    def _int_product(self, other):
+        """Product of integer images; exponent vectors are packed too, so a
+        monomial product is one int addition."""
+        nvars = self.nvars
+        ew = _slot_width(self.total_degree() + other.total_degree())
+        bterms = [(_pack(e, ew), b) for e, b in other.terms.items()]
+        acc = {}
+        get = acc.get
+        for e, a in self.terms.items():
+            ka = _pack(e, ew)
+            for kb, b in bterms:
+                k = ka + kb
+                acc[k] = get(k, 0) + a * b
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, zero) + c1 * c2
-                if s == zero:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return MultiPoly(self.nvars, out, self.field, _clean=True)
+        for k, v in acc.items():
+            if v:
+                e = _unpack(k, ew)
+                out[e + (0,) * (nvars - len(e))] = v
+        return MultiPoly(nvars, out, INTEGERS, _clean=True)
 
     __rmul__ = __mul__
 
@@ -125,6 +182,40 @@ class MultiPoly:
 
     def __bool__(self):
         return bool(self.terms)
+
+    # -- integer images ----------------------------------------------------
+
+    def cleared(self):
+        """(den, nums): the common denominator of the coefficients and the
+        integer numerators over it, in term order (Z[kappa] coefficient
+        tuples, or ints when kappa is specialized)."""
+        if self.field.mode == "exact":
+            return _common_denominator(self.terms.values())
+        return _common_int_denominator(self.terms.values())
+
+    def integer_image(self, nums, w):
+        """The polynomial over INTEGERS with the coefficients nums (from
+        ``cleared``), packed at 2^w; w is None when kappa is specialized.
+
+        Packing is a ring map, so sums and products of images are images
+        of sums and products.  A value unpacks correctly when every
+        kappa-coefficient of it lies strictly inside ±2^(w-1)."""
+        if w is not None:
+            nums = [_pack(c, w) for c in nums]
+        return MultiPoly(
+            self.nvars, dict(zip(self.terms, nums)), INTEGERS, _clean=True
+        )
+
+    def over(self, dens, w, field):
+        """This integer image divided by the product of dens, as a
+        polynomial over field; each coefficient is reduced once."""
+        if w is None:
+            den = prod(dens)
+            terms = {e: Fraction(v, den) for e, v in self.terms.items()}
+        else:
+            den = reduce(P.pmul, dens)
+            terms = {e: FieldElem(_unpack(v, w), den) for e, v in self.terms.items()}
+        return MultiPoly(self.nvars, terms, field, _clean=True)
 
     # -- structure ---------------------------------------------------------
 
@@ -219,6 +310,40 @@ class MultiPoly:
             quot = quot + t
             rem = rem - t * divisor
         return quot
+
+    def div_linear(self, a, b):
+        """Exact quotient by z_a - z_b, by synthetic division in z_a.
+
+        Along each diagonal (z_a^j z_b^(s-j) times a fixed monomial in the
+        other variables) the quotient coefficient of z_a^(j-1) z_b^(s-j) is
+        the sum of the coefficients at z_a-degree >= j, and the remainder is
+        the sum of the whole diagonal; raises ValueError when a remainder
+        is nonzero.
+        """
+        diagonals = {}
+        for e, c in self.terms.items():
+            j = e[a]
+            key = list(e)
+            key[a] = 0
+            key[b] += j
+            diagonals.setdefault(tuple(key), {})[j] = c
+        out = {}
+        for key, diag in diagonals.items():
+            q = list(key)
+            s = key[b]
+            run = self.field.zero
+            for j in range(max(diag), 0, -1):
+                if j in diag:
+                    run = run + diag[j]
+                if run:
+                    q[a] = j - 1
+                    q[b] = s - j
+                    out[tuple(q)] = run
+            if 0 in diag:
+                run = run + diag[0]
+            if run:
+                raise ValueError("not divisible by z%d - z%d" % (a + 1, b + 1))
+        return MultiPoly(self.nvars, out, self.field, _clean=True)
 
     # -- printing ----------------------------------------------------------
 

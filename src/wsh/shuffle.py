@@ -6,19 +6,25 @@ g(z_i - z_j) = h(z_i - z_j)/(z_i - z_j) across the two blocks, with
 
     h(u) = (u + 1 - kappa)(u - 1)(u + kappa).
 
-The rational kernel is handled by clearing the full Vandermonde product
-once and dividing exactly at the end.  The relations checked here are the
-free-algebra relation elements of ``presentation``, realized with t1[k]
-going to z^k (ShuffleContext.realize).
+No rational function is formed.  The Vandermonde Δ_n = prod_{a<b} (z_a -
+z_b) is the product W of the cross differences times the within-block
+Vandermondes V, so Δ_n/σ(W) = sgn(σ)·σ(V) for every shuffle σ.  The
+product times Δ_n is therefore one signed symmetrization of P·Q·K_{r,s},
+where K_{r,s} = (h-cross factor)·V is cached per shape, and it is divided
+by Δ_n one linear factor z_a - z_b at a time.  The relations checked here
+are the free-algebra relation elements of ``presentation``, realized with
+t1[k] going to z^k (ShuffleContext.realize).
 """
 
 from __future__ import annotations
 
 import random
 from itertools import combinations
+from math import comb, prod
 
 from . import linalg
 from .checks import CheckOutcome
+from .linalg import _norm1, _norm_inf, _slot_width
 from .multipoly import MultiPoly
 from .presentation import T1, FreeAlgebra, FreeElement, Realization, t1_word
 
@@ -28,6 +34,7 @@ class Kernel:
 
     def __init__(self, field):
         self.field = field
+        self._cross = {}
 
     def h_coeffs(self):
         """Ascending coefficients of h(u) = u^3 - (k^2-k+1)u - k(1-k)."""
@@ -71,6 +78,21 @@ class Kernel:
             if c != self.field.zero:
                 out = out + u**e * c
         return out
+
+    def cross_factor(self, r, s) -> MultiPoly:
+        """K_{r,s} = prod_{i<r<=j} h(z_i - z_j) · Δ(z_1..z_r) · Δ(z_{r+1}..z_n),
+        with Δ the Vandermonde product prod_{a<b} (z_a - z_b); cached per
+        shape (r, s)."""
+        K = self._cross.get((r, s))
+        if K is None:
+            n = r + s
+            K = MultiPoly.constant(self.field.one, n, self.field)
+            for i in range(n):
+                for j in range(i + 1, n):
+                    d = _difference(i, j, n, self.field)
+                    K = K * (self.h_of(d) if i < r <= j else d)
+            self._cross[r, s] = K
+        return K
 
 
 class ShuffleElem:
@@ -124,33 +146,56 @@ def _difference(i, j, nvars, field):
 
 
 def star_product(P: ShuffleElem, Q: ShuffleElem, kernel: Kernel) -> ShuffleElem:
-    """Shuffle product with the g = h/z twist, via one exact division."""
-    field = P.field
+    """Shuffle product with the g = h/z twist: the sum over (r,s)-shuffles
+    σ of σ(P·Q·prod_{i<r<=j} h(z_i - z_j)/(z_i - z_j)).
+
+    Since Δ_n/σ(W) = sgn(σ)·σ(V) (module docstring), the sum is
+    (sum of sgn(σ)·σ(F)) / Δ_n with F = P·Q·K_{r,s}; the division runs
+    over the linear factors z_a - z_b and is checked exact.
+    """
     r, s = P.nvars, Q.nvars
     n = r + s
     if r == 0:
         return Q.scale(P.poly.coefficient(()))
     if s == 0:
         return P.scale(Q.poly.coefficient(()))
-    base = P.poly.extend(n) * Q.poly.extend(n, offset=r)
-    hcross = MultiPoly.constant(field.one, n, field)
-    wcross = MultiPoly.constant(field.one, n, field)
-    for i in range(r):
-        for j in range(r, n):
-            d = _difference(i, j, n, field)
-            hcross = hcross * kernel.h_of(d)
-            wcross = wcross * d
-    G = hcross * base
-    vand = MultiPoly.constant(field.one, n, field)
+    factors = (
+        P.poly.extend(n),
+        Q.poly.extend(n, offset=r),
+        kernel.cross_factor(r, s),
+    )
+    cleared = [f.cleared() for f in factors]
+    w = None
+    if P.field.mode == "exact":
+        # every value below is bounded by the product bound of F, times the
+        # number of shuffles, times the length of a diagonal (at most the
+        # total degree + 1) at each division
+        (_, p), (_, q), (_, k) = cleared
+        degree = sum(f.total_degree() for f in factors)
+        growth = comb(n, r) * prod(degree + 1 - i for i in range(n * (n - 1) // 2))
+        bound = sum(map(_norm1, p)) * sum(map(_norm1, q)) * max(map(_norm_inf, k))
+        w = _slot_width(bound * growth)
+    pi, qi, ki = (f.integer_image(c, w) for f, (_, c) in zip(factors, cleared))
+    acc = _signed_shuffle_sum(pi * qi * ki, r)
     for a in range(n):
         for b in range(a + 1, n):
-            vand = vand * _difference(a, b, n, field)
-    acc = MultiPoly.zero(n, field)
+            acc = acc.div_linear(a, b)
+    return ShuffleElem(acc.over([den for den, _ in cleared], w, P.field))
+
+
+def _signed_shuffle_sum(F: MultiPoly, r) -> MultiPoly:
+    """sum over (r, n-r)-shuffles σ of sgn(σ)·σ(F)."""
+    n = F.nvars
+    acc = MultiPoly.zero(n, F.field)
     for subset in combinations(range(n), r):
-        comp = [x for x in range(n) if x not in subset]
-        perm = list(subset) + comp  # original position i goes to perm[i]
-        acc = acc + G.permute_vars(perm) * vand.divexact(wcross.permute_vars(perm))
-    return ShuffleElem(acc.divexact(vand))
+        perm = list(subset) + [x for x in range(n) if x not in subset]
+        term = F.permute_vars(perm)  # original position i goes to perm[i]
+        # sgn(σ) counts the pairs (subset element, smaller complement element)
+        if (sum(subset) - r * (r - 1) // 2) % 2:
+            acc = acc - term
+        else:
+            acc = acc + term
+    return acc
 
 
 class ShuffleContext:

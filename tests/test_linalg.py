@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from conftest import mat_mul_oracle
 
+from wsh import _poly as P
 from wsh import linalg
 from wsh.field import RationalFunctionField, SpecializedField
 
@@ -196,3 +197,43 @@ def test_certificate_point_at_a_pole_is_skipped():
     for pt in linalg.CERTIFICATE_POINTS:
         every_pole = every_pole / (k - F.from_fraction(pt))
     assert linalg.certified_rank_bound([[every_pole, F.one]]) == 0
+
+
+def test_pack_unpack_round_trip_at_slot_limits():
+    for bound in (1, 2, 7, 2**31, 3**50):
+        w = linalg._slot_width(bound)
+        top = 2 ** (w - 1) - 1
+        for p in [
+            (top,),
+            (-top,),
+            (top, -top, 0, top),
+            (1, 0, -top),  # negative leading coefficient
+            (-top, top, -1),
+            (0, 0, -1),
+            (),
+        ]:
+            assert linalg._unpack(linalg._pack(p, w), w) == p
+        # a sum of products a·b with |coefficients| <= (Σ‖a‖₁)·max‖b‖∞
+        a = [(bound, -bound), (-1, 0, 1)]
+        b = [(1, -1), (-1,)]
+        w = linalg._slot_width(
+            sum(map(linalg._norm1, a)) * max(map(linalg._norm_inf, b))
+        )
+        want = P.padd(P.pmul(a[0], b[0]), P.pmul(a[1], b[1]))
+        got = linalg._pack(a[0], w) * linalg._pack(b[0], w)
+        got += linalg._pack(a[1], w) * linalg._pack(b[1], w)
+        assert linalg._unpack(got, w) == want
+
+
+def test_mat_mul_entries_at_the_slot_bound():
+    """Equal positive numerators: the middle kappa-coefficient of every
+    entry is inner·max‖a‖₁·max‖b‖∞, the bound the slot width is taken
+    from."""
+    m = 2**40 - 1
+    x = F.from_poly((m, m, m))
+    inner = 8
+    A = [[x] * inner]
+    B = [[x] for _ in range(inner)]
+    got = linalg.mat_mul(A, B, F)
+    assert got == mat_mul_oracle(A, B, F)
+    assert got[0][0].num[2] == inner * 3 * m * m

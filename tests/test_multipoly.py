@@ -1,11 +1,37 @@
 """Multivariate polynomials over the coefficient field."""
 
-import pytest
+import random
+from fractions import Fraction
 
-from wsh.field import RationalFunctionField
-from wsh.multipoly import MultiPoly
+import pytest
+from conftest import multipoly_mul_oracle
+
+from wsh.field import RationalFunctionField, SpecializedField
+from wsh.linalg import _norm_inf, _slot_width
+from wsh.multipoly import INTEGERS, MultiPoly
 
 F = RationalFunctionField()
+S = SpecializedField(Fraction(7, 3))
+
+
+def coefficient_pool(field):
+    """Negative and large integers and kappa-denominators 1/kappa,
+    1/(kappa+1), 1/(kappa^2-2)."""
+    k, one = field.kappa, field.one
+    ints = [field.from_int(c) for c in (-3, -1, 1, 2, 2**70, -(2**70) + 1)]
+    return ints + [one / k, -one / (k + 1), (k + 2) / (k * k - 2), k * k - 3]
+
+
+def random_poly(rng, nvars, field, terms=4, degree=2):
+    pool = coefficient_pool(field)
+    return MultiPoly(
+        nvars,
+        {
+            tuple(rng.randint(0, degree) for _ in range(nvars)): rng.choice(pool)
+            for _ in range(terms)
+        },
+        field,
+    )
 
 
 def var(i, n=2):
@@ -71,3 +97,68 @@ def test_total_degree_and_coefficient():
     assert p.total_degree() == 4
     assert p.coefficient((3, 1)) == F.one
     assert p.coefficient((2, 2)) == F.zero
+
+
+@pytest.mark.parametrize("field", [F, S])
+def test_product_matches_termwise_oracle(field):
+    rng = random.Random(404)
+    zero = MultiPoly.zero
+    for nvars in (0, 1, 2, 3):
+        for _ in range(6):
+            a = random_poly(rng, nvars, field, terms=rng.randint(1, 6))
+            b = random_poly(rng, nvars, field, terms=rng.randint(1, 6))
+            got = a * b
+            assert got == multipoly_mul_oracle(a, b)
+            assert all(type(c) is type(field.one) for c in got.terms.values())
+        a = random_poly(rng, nvars, field)
+        assert a * zero(nvars, field) == zero(nvars, field)
+        assert zero(nvars, field) * a == zero(nvars, field)
+
+
+def test_product_cancels_to_zero_terms():
+    x, y = var(0), var(1)
+    p = (x + y * F.kappa) * (x - y * F.kappa)
+    assert p == x**2 - y**2 * F.kappa**2
+    assert (0, 1) not in p.terms and (1, 1) not in p.terms
+
+
+@pytest.mark.parametrize("field", [F, S])
+def test_integer_image_round_trip(field):
+    rng = random.Random(7)
+    p = random_poly(rng, 3, field, terms=6)
+    den, nums = p.cleared()
+    w = None if field is S else _slot_width(max(map(_norm_inf, nums)))
+    image = p.integer_image(nums, w)
+    assert image.field is INTEGERS
+    assert all(type(c) is int for c in image.terms.values())
+    assert image.over([den], w, field) == p
+
+
+def test_div_linear():
+    rng = random.Random(11)
+    for field in (F, S):
+        z = [MultiPoly.variable(i, 3, field) for i in range(3)]
+        q = random_poly(rng, 3, field, terms=5, degree=3)
+        for a, b in ((0, 1), (2, 0), (1, 2)):
+            assert (q * (z[a] - z[b])).div_linear(a, b) == q
+        assert MultiPoly.zero(3, field).div_linear(0, 2) == MultiPoly.zero(3, field)
+    x, y = var(0), var(1)
+    assert (x**2 - y**2).div_linear(0, 1) == x + y
+    with pytest.raises(ValueError):
+        (x**2 + y).div_linear(0, 1)
+    with pytest.raises(ValueError):
+        (x**2 + y).div_linear(1, 0)
+    n = MultiPoly(2, {(2, 0): 1, (0, 1): 1}, INTEGERS)
+    with pytest.raises(ValueError):
+        n.div_linear(0, 1)
+
+
+def test_product_coefficient_at_the_slot_bound():
+    """Seven equal terms on each side meet on one monomial, whose middle
+    kappa-coefficient is the bound (Σ‖a‖₁)·max‖b‖∞ exactly."""
+    m = 2**40 - 1
+    c = F.from_poly((m, m, m))
+    a = MultiPoly(2, {(i, 6 - i): c for i in range(7)}, F)
+    got = a * a
+    assert got == multipoly_mul_oracle(a, a)
+    assert got.terms[6, 6].num[2] == 7 * 3 * m * m

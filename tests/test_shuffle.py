@@ -1,12 +1,18 @@
 """Shuffle algebra with the cubic-twisted product."""
 
-import pytest
+import random
+from fractions import Fraction
 
-from wsh.field import RationalFunctionField
+import pytest
+from conftest import multipoly_mul_oracle, star_product_oracle
+from test_multipoly import random_poly
+
+from wsh.field import RationalFunctionField, SpecializedField
 from wsh.multipoly import MultiPoly
 from wsh.shuffle import Kernel, ShuffleContext, ShuffleElem, star_product
 
 F = RationalFunctionField()
+S = SpecializedField(Fraction(7, 3))
 
 
 @pytest.fixture(scope="module")
@@ -87,3 +93,48 @@ def test_exchange_samples(sc, ctx6):
     assert res.status == "pass"
     assert res.window == (0, 3)
     assert res.detail == "instances [(3, 3), (3, 4), (4, 3), (4, 4)]"
+
+
+def _random_elem(rng, nvars, field):
+    if nvars == 0:
+        return ShuffleElem.unit(field).scale(field.from_int(rng.choice((-2, 3))))
+    return ShuffleElem(random_poly(rng, nvars, field, terms=2).symmetrize())
+
+
+@pytest.mark.parametrize("field", [F, S])
+def test_star_product_matches_oracle(field):
+    """Shapes 1+1 .. 3+1 and the unit on either side, with negative, large
+    and kappa-rational coefficients, against the Vandermonde-clearing
+    product."""
+    rng = random.Random(2024)
+    ker = Kernel(field)
+    shapes = [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1), (0, 2), (2, 0)]
+    for r, s in shapes:
+        P, Q = _random_elem(rng, r, field), _random_elem(rng, s, field)
+        assert star_product(P, Q, ker) == star_product_oracle(P, Q, ker)
+    for r, s in ((1, 2), (2, 1)):
+        P, Q = _random_elem(rng, r, field), _random_elem(rng, s, field)
+        zero_p = ShuffleElem(MultiPoly.zero(r, field))
+        zero_q = ShuffleElem(MultiPoly.zero(s, field))
+        assert star_product(zero_p, Q, ker).is_zero()
+        assert star_product(P, zero_q, ker).is_zero()
+
+
+def test_cross_factor_is_the_cached_termwise_product():
+    """K_{r,s} against the product of h(z_i - z_j) = (u+1-k)(u-1)(u+k) and
+    z_i - z_j, one linear factor at a time, with the termwise product."""
+    ker = Kernel(F)
+    k = F.kappa
+    for r, s in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 1)):
+        n = r + s
+        one = MultiPoly.constant(F.one, n, F)
+        want = one
+        for i in range(n):
+            for j in range(i + 1, n):
+                d = z(i, n) - z(j, n)
+                roots = (k - 1, F.one, -k) if i < r <= j else (F.zero,)
+                for root in roots:
+                    want = multipoly_mul_oracle(want, d - one * root)
+        got = ker.cross_factor(r, s)
+        assert got == want
+        assert ker.cross_factor(r, s) is got
