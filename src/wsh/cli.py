@@ -50,10 +50,6 @@ def _add_common(parser):
         "exact rational-function arithmetic",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker threads for independent checks (default 1)",
-    )
-    parser.add_argument(
         "--format", choices=("json", "text"), default="json",
         help="output format (default json)",
     )
@@ -102,7 +98,6 @@ def _config(args) -> Config:
         lmax=args.lmax,
         series_order=args.series_order,
         specialize=args.specialize,
-        jobs=args.jobs,
         fmt=args.format,
     )
 

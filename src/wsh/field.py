@@ -228,9 +228,6 @@ class RationalFunctionField:
     def to_str(self, x):
         return str(x)
 
-    def describe(self):
-        return {"mode": "exact"}
-
 
 class SpecializedField:
     """Specialized mode: kappa evaluated at a fixed rational, elements are
@@ -256,6 +253,3 @@ class SpecializedField:
 
     def to_str(self, x):
         return str(x)
-
-    def describe(self):
-        return {"mode": "specialized", "kappa": str(self.kappa)}

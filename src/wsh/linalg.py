@@ -5,12 +5,11 @@ Two layers:
 * dense matrices: a fraction-free product, which multiplies in Z[kappa]
   and reduces each result entry once, and Gauss-Jordan inversion over
   field elements;
-* fraction-free echelon forms ("SpanBasis") that clear denominators and
-  run on integer kappa-polynomial rows, with content stripping to control
-  coefficient blowup.  Rank, membership, and kernels all go through this.
-
-Specialized-mode vectors (Fractions) travel the same code path: a cleared
-row is then a vector of degree-0 polynomials.
+* one fraction-free echelon form ("SpanBasis") that clears denominators
+  and eliminates on primitive rows in the ring the cleared entries lie
+  in: integer kappa-polynomials (coefficient tuples) in exact mode, plain
+  ints when kappa is specialized.  Rank, membership, kernels and the rank
+  certificates at rational kappa points all go through it.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import _poly as P
-from .field import FieldElem
+from .field import FieldElem, SpecializedField
 
 _ONE = (1,)
 
@@ -217,16 +216,12 @@ def mat_inv(A, field):
 
 
 def clear_denominators(vec, field):
-    """Field-element vector -> integer kappa-polynomial row (common
-    denominator removed, content stripped)."""
+    """Field-element vector -> primitive row: the numerators over the
+    common denominator with their content stripped; ints when kappa is
+    specialized, integer kappa-polynomials otherwise."""
     if field.mode == "specialized":
         _, ints = _common_int_denominator(vec)
-        g = 0
-        for c in ints:
-            g = gcd(g, c)
-        if g > 1:
-            ints = [c // g for c in ints]
-        return [(c,) if c else () for c in ints]
+        return _strip_int_content(ints)
     _, row = _common_denominator(vec)
     return _strip_content(row)
 
@@ -243,6 +238,11 @@ def _strip_content(row):
     return row
 
 
+def _strip_int_content(row):
+    g = gcd(*row)
+    return [c // g for c in row] if g > 1 else row
+
+
 def _row_eliminate(v, b, col):
     """Fraction-free elimination of column col from v using row b."""
     f = v[col]
@@ -251,15 +251,28 @@ def _row_eliminate(v, b, col):
     return _strip_content(out)
 
 
-class SpanBasis:
-    """Incremental row-echelon basis over Q(kappa), fraction-free."""
+def _int_row_eliminate(v, b, col):
+    """_row_eliminate on int rows; the pivot pair is divided by its gcd
+    first, which leaves the stripped row unchanged."""
+    g = gcd(v[col], b[col])
+    f = v[col] // g
+    p = b[col] // g
+    return _strip_int_content([p * x - f * y for x, y in zip(v, b)])
 
-    def __init__(self, field, width=None, pivot_limit=None):
+
+class SpanBasis:
+    """Incremental row-echelon basis over the field, fraction-free: rows
+    are primitive int rows when kappa is specialized and primitive integer
+    kappa-polynomial rows otherwise."""
+
+    def __init__(self, field, pivot_limit=None):
         self.field = field
-        self.rows = []  # (pivot_col, poly row), sorted by pivot_col
-        self.width = width
+        self.rows = []  # (pivot_col, row), sorted by pivot_col
         # pivots are only sought in columns < pivot_limit (for kernels)
         self.pivot_limit = pivot_limit
+        self._eliminate = (
+            _int_row_eliminate if field.mode == "specialized" else _row_eliminate
+        )
 
     @property
     def dim(self):
@@ -268,7 +281,7 @@ class SpanBasis:
     def _reduce_row(self, row):
         for piv, b in self.rows:
             if row[piv]:
-                row = _row_eliminate(row, b, piv)
+                row = self._eliminate(row, b, piv)
         return row
 
     def _pivot_of(self, row):
@@ -279,7 +292,7 @@ class SpanBasis:
         return None
 
     def reduce(self, vec):
-        """Reduce a field-element vector; returns the residual poly row."""
+        """Reduce a field-element vector; returns the residual row."""
         return self._reduce_row(clear_denominators(vec, self.field))
 
     def add(self, vec) -> bool:
@@ -321,6 +334,11 @@ def kernel_of_vectors(vectors, field):
     m = len(vectors[0])
     k = len(vectors)
     basis = SpanBasis(field, pivot_limit=m)
+    # zero and one of the row ring, and its map into the field
+    if field.mode == "specialized":
+        zero, one, to_field = 0, 1, field.from_int
+    else:
+        zero, one, to_field = (), (1,), field.from_poly
     kernel = []
     rank = 0
     scales = []  # cleared_row = scale * original vector, per row
@@ -328,18 +346,16 @@ def kernel_of_vectors(vectors, field):
         v = list(v)
         row = clear_denominators(v, field)
         j = next((j for j, p in enumerate(row) if p), None)
-        scales.append(
-            field.one if j is None else field.from_poly(row[j]) / v[j]
-        )
-        aug = [()] * k
-        aug[i] = (1,)
+        scales.append(field.one if j is None else to_field(row[j]) / v[j])
+        aug = [zero] * k
+        aug[i] = one
         if basis.add_row(row + aug):
             rank += 1
         else:
             # vector part vanished; the tail records the dependency on the
             # cleared rows -- rescale back to the original vectors
             red = basis._reduce_row(row + aug)
-            coeffs = [field.from_poly(p) * s for p, s in zip(red[m:], scales)]
+            coeffs = [to_field(p) * s for p, s in zip(red[m:], scales)]
             coeffs += [field.zero] * (k - len(coeffs))
             kernel.append(coeffs)
     return rank, kernel
@@ -370,30 +386,6 @@ def evaluate_vectors(vectors, point):
     return [[_as_fraction(x, point) for x in v] for v in vectors]
 
 
-def fraction_rank(rows) -> int:
-    rows = [list(r) for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    r = 0
-    while r < len(rows) and col < ncols:
-        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        pval = prow[col]
-        for i in range(r + 1, len(rows)):
-            f = rows[i][col]
-            if f:
-                rows[i] = [a - f / pval * b for a, b in zip(rows[i], prow)]
-        rank += 1
-        r += 1
-        col += 1
-    return rank
-
-
 def rank_lower_bound(vectors, point=None) -> int:
     """Rank certificate by rational specialization (exact lower bound).
     A point at a pole of some entry certifies nothing: the bound is 0."""
@@ -402,7 +394,7 @@ def rank_lower_bound(vectors, point=None) -> int:
         rows = evaluate_vectors(vectors, point)
     except ZeroDivisionError:
         return 0
-    return fraction_rank(rows)
+    return rank_of_vectors(rows, SpecializedField(point))
 
 
 def certified_rank_bound(vectors, cap=None) -> int:

@@ -55,6 +55,8 @@ class GradedOp:
         return (min(self.blocks), max(self.blocks))
 
     def block(self, n):
+        if n not in self.blocks:
+            raise WindowError("degree %d outside operator window" % n)
         return self.blocks[n]
 
     def _common(self, other):
@@ -131,15 +133,14 @@ class GradedOp:
         field = self.field
         out = {}
         for n in f.degrees():
-            if n not in self.blocks:
-                raise WindowError("degree %d outside operator window" % n)
+            block = self.block(n)
             parts_src = partitions_of(n)
             parts_dst = partitions_of(n + self.rank)
             idx = {lam: i for i, lam in enumerate(parts_src)}
             v = [field.zero] * len(parts_src)
             for lam, c in f.homogeneous(n).items():
                 v[idx[lam]] = c
-            w = linalg.mat_vec(self.blocks[n], v, field)
+            w = linalg.mat_vec(block, v, field)
             for lam, c in zip(parts_dst, w):
                 if c != field.zero:
                     out[lam] = out.get(lam, field.zero) + c

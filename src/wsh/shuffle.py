@@ -301,25 +301,13 @@ class ShuffleContext:
 
     # -- rank-2 comparison with the operator realization -------------------
 
-    def _pair_monomial_vectors(self, K):
-        """Flattened coefficient vectors of z^k * z^l over a common monomial
-        basis, plus the basis used."""
-        prods = {}
-        monos = set()
-        for k in range(K + 1):
-            for l in range(K + 1):
-                p = self.gen_product(k, l).poly
-                prods[k, l] = p
-                monos.update(p.terms)
-        basis = sorted(monos)
-        vecs = []
-        pairs = []
-        for k in range(K + 1):
-            for l in range(K + 1):
-                p = prods[k, l]
-                vecs.append([p.terms.get(m, self.field.zero) for m in basis])
-                pairs.append((k, l))
-        return pairs, vecs
+    def _word_vectors(self, words):
+        """Coefficient vectors of the images of the words over the sorted
+        union of their monomials."""
+        polys = [self.realize.word(w).poly for w in words]
+        basis = sorted(set().union(*(p.terms for p in polys)))
+        zero = self.field.zero
+        return [[p.terms.get(m, zero) for m in basis] for p in polys]
 
     def rank2_kernel_compare(self, K, opctx) -> list:
         """Kernel of the rank-2 shuffle multiplication map versus the kernel
@@ -332,7 +320,8 @@ class ShuffleContext:
         specialization, so the bound plus the inclusion give equality).
         """
         f = self.field
-        pairs, svecs = self._pair_monomial_vectors(K)
+        pairs = [(k, l) for k in range(K + 1) for l in range(K + 1)]
+        svecs = self._word_vectors([t1_word(*p) for p in pairs])
         _, skernel = linalg.kernel_of_vectors(svecs, f)
         out = []
         # exact inclusion: shuffle kernel annihilates the operator products
@@ -414,31 +403,16 @@ class ShuffleContext:
     def rank3_span_check(self, opctx, amax=3) -> CheckOutcome:
         """Dimension of span{z^a * z^b * z^c} against the span of the
         corresponding operator products (advisory at rank 3)."""
-        f = self.field
-        triples = [
-            (a, b, c)
+        words = [
+            t1_word(a, b, c)
             for a in range(amax + 1)
             for b in range(amax + 1)
             for c in range(amax + 1)
         ]
-        polys = {}
-        monos = set()
-        for a, b, c in triples:
-            p = star_product(
-                self.gen_product(a, b), ShuffleElem.generator(c, f), self.kernel
-            ).poly
-            polys[a, b, c] = p
-            monos.update(p.terms)
-        basis = sorted(monos)
-        svecs = [
-            [polys[t].terms.get(m, f.zero) for m in basis] for t in triples
-        ]
-        sdim = linalg.rank_of_vectors(svecs, f)
-        ovecs = [
-            opctx.d1(a).compose(opctx.d1(b)).compose(opctx.d1(c)).flatten()
-            for a, b, c in triples
-        ]
-        odim = linalg.rank_of_vectors(ovecs, f)
+        sdim = linalg.rank_of_vectors(self._word_vectors(words), self.field)
+        odim = linalg.rank_of_vectors(
+            [opctx.realize.word(w).flatten() for w in words], self.field
+        )
         return CheckOutcome(
             "shuffle_rank3_span(amax=%d,N=%d)" % (amax, opctx.N),
             (0, amax),

@@ -94,6 +94,32 @@ def star_product_oracle(P, Q, kernel):
     return ShuffleElem(acc.divexact(vand))
 
 
+def fraction_rank_oracle(rows) -> int:
+    """Rank of a list of Fraction rows by Gaussian elimination over Q.
+    The reference for the fraction-free rank of ``linalg.SpanBasis``."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    ncols = len(rows[0]) if rows else 0
+    col = 0
+    r = 0
+    while r < len(rows) and col < ncols:
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            col += 1
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        pval = prow[col]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][col]
+            if f:
+                rows[i] = [a - f / pval * b for a, b in zip(rows[i], prow)]
+        rank += 1
+        r += 1
+        col += 1
+    return rank
+
+
 @pytest.fixture(scope="session")
 def field():
     return RationalFunctionField()

@@ -119,3 +119,23 @@ def test_pole_of_kappa_is_a_usage_error(capsys, argv):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_jobs_flag_is_gone(capsys):
+    # checks run one at a time; the flag is rejected as unknown
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "positive", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_fock_fit_below_its_test_partitions_is_skipped(capsys, n):
+    # the fit is tested on partitions of sizes 3 and 4
+    code, out, err = run(capsys, "verify", "fock", "--max-degree", str(n))
+    assert code == 0, err
+    checks = {c["id"]: c for c in json.loads(out)["checks"]}
+    fit = checks["fock_fit_unique_convention(hmax=4)"]
+    assert fit["status"] == "skipped"
+    assert fit["detail"] == "degree %d outside operator window" % n
+    assert not any(cid.startswith("fock_fit(") for cid in checks)

@@ -2,9 +2,10 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from conftest import mat_mul_oracle
+from conftest import fraction_rank_oracle, mat_mul_oracle
 
 from wsh import _poly as P
 from wsh import linalg
@@ -237,3 +238,126 @@ def test_mat_mul_entries_at_the_slot_bound():
     got = linalg.mat_mul(A, B, F)
     assert got == mat_mul_oracle(A, B, F)
     assert got[0][0].num[2] == inner * 3 * m * m
+
+
+def _random_fraction_rows(rng, rows, cols):
+    """Seeded Fraction rows: zeros, small entries of either sign, entries
+    and denominators above 2^64; then a zero row, a duplicate, a negated
+    duplicate and a combination of two rows are mixed in."""
+    big = 2**64
+
+    def entry():
+        r = rng.random()
+        if r < 0.3:
+            return Fraction(0)
+        if r < 0.45:
+            num = rng.randint(-8 * big, 8 * big)
+            return Fraction(num, rng.choice((1, 3, big + 1)))
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 6, 35, 1024)))
+
+    vecs = [[entry() for _ in range(cols)] for _ in range(rows)]
+    vecs.append([Fraction(0)] * cols)
+    vecs.append(list(vecs[0]))
+    vecs.append([-x for x in vecs[1]])
+    vecs.append([x * Fraction(-3, 7) + y * big for x, y in zip(vecs[1], vecs[2])])
+    rng.shuffle(vecs)
+    return vecs
+
+
+# (rows, cols) before the four dependent rows: wide, square and tall
+_SHAPES = ((1, 6), (2, 7), (3, 3), (4, 9), (6, 2), (8, 3), (5, 5))
+
+
+def _combination(coeffs, vecs):
+    acc = [Fraction(0)] * len(vecs[0])
+    for c, v in zip(coeffs, vecs):
+        acc = [a + c * x for a, x in zip(acc, v)]
+    return acc
+
+
+def test_specialized_rank_and_kernel_match_the_fraction_oracle():
+    rng = random.Random(31337)
+    for _ in range(3):
+        for rows, cols in _SHAPES:
+            vecs = _random_fraction_rows(rng, rows, cols)
+            want = fraction_rank_oracle(vecs)
+            assert linalg.rank_of_vectors(vecs, S) == want
+            for pt in linalg.CERTIFICATE_POINTS:
+                assert linalg.rank_lower_bound(vecs, pt) == want
+            rank, kernel = linalg.kernel_of_vectors(vecs, S)
+            assert rank == want and len(kernel) == len(vecs) - want
+            assert all(type(c) is Fraction for a in kernel for c in a)
+            for coeffs in kernel:
+                assert not any(_combination(coeffs, vecs))
+            if kernel:
+                assert fraction_rank_oracle(kernel) == len(kernel)
+
+
+def test_negative_pivots_match_the_fraction_oracle():
+    vecs = [
+        [Fraction(-3), Fraction(5), Fraction(1, 2)],
+        [Fraction(-6), Fraction(-1), Fraction(7)],
+        [Fraction(-9), Fraction(4), Fraction(15, 2)],  # sum of the first two
+        [Fraction(0), Fraction(-2**70), Fraction(1, 3)],
+    ]
+    assert linalg.rank_of_vectors(vecs, S) == fraction_rank_oracle(vecs) == 3
+    rank, kernel = linalg.kernel_of_vectors(vecs, S)
+    assert rank == 3 and len(kernel) == 1
+    a = kernel[0]
+    assert a[2] and a == [a[2] * c for c in (-1, -1, 1, 0)]
+
+
+def test_exact_certificates_match_the_fraction_oracle():
+    rng = random.Random(77)
+    for rows, cols in ((3, 5), (5, 3), (4, 4)):
+        vecs = _random_exact(rng, rows, cols)
+        vecs.append([a - b for a, b in zip(vecs[0], vecs[1])])
+        for pt in linalg.CERTIFICATE_POINTS:
+            want = fraction_rank_oracle(linalg.evaluate_vectors(vecs, pt))
+            assert linalg.rank_lower_bound(vecs, pt) == want
+
+
+def test_specialized_clear_denominators_returns_primitive_ints():
+    big = 2**64
+    cases = [
+        [Fraction(2, 3), Fraction(4, 3)],
+        [Fraction(-6, 5), Fraction(0), Fraction(9, 10)],
+        [Fraction(big, 3), Fraction(-2 * big, 7)],
+        [Fraction(0), Fraction(0)],
+        [],
+    ]
+    for vec in cases:
+        row = linalg.clear_denominators(vec, S)
+        assert all(type(c) is int for c in row)
+        assert not any(row) or gcd(*row) == 1
+        # the row is a positive multiple of the vector
+        j = next((j for j, c in enumerate(row) if c), None)
+        if j is not None:
+            scale = row[j] / vec[j]
+            assert scale > 0 and [scale * x for x in vec] == row
+    assert linalg.clear_denominators(cases[0], S) == [1, 2]
+    assert linalg.clear_denominators(cases[1], S) == [-4, 0, 3]
+
+
+def test_int_elimination_equals_degree_zero_polynomial_elimination():
+    """The int row step gives the row the polynomial step gives on the
+    same entries read as degree-0 polynomials."""
+    rng = random.Random(4)
+
+    def poly(c):
+        return (c,) if c else ()
+
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        col = rng.randrange(n)
+        v = [
+            rng.choice((0, rng.randint(-50, 50), rng.randint(-(2**70), 2**70)))
+            for _ in range(n)
+        ]
+        b = [rng.choice((0, rng.randint(-50, 50) * 6)) for _ in range(n)]
+        v[col] = v[col] or -12
+        b[col] = b[col] or 18
+        got = linalg._int_row_eliminate(v, b, col)
+        want = linalg._row_eliminate([poly(c) for c in v], [poly(c) for c in b], col)
+        assert [poly(c) for c in got] == want
+        assert got[col] == 0

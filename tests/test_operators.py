@@ -122,7 +122,9 @@ def test_lowering_is_pairing_adjoint(ctx6):
 
 
 def test_missing_block_raises(ctx6):
-    with pytest.raises(KeyError):
+    # a degree outside the window is a window error (a skipped check), not
+    # a lookup failure
+    with pytest.raises(WindowError, match="degree 0 outside operator window"):
         ctx6.d1(0).compose(ctx6.lowering(0)).block(0)
 
 
