@@ -27,32 +27,41 @@ from .report import (
 from .shc import GCONVENTIONS
 
 
-def _add_common(parser):
-    parser.add_argument(
-        "--max-degree", type=int, default=8, metavar="N",
+# every flag a command may take, keyed by the Config field it sets
+_FLAGS = {
+    "N": ("--max-degree", dict(
+        type=int, default=8, metavar="N",
         help="truncation: largest total degree retained (default 8)",
-    )
-    parser.add_argument(
-        "--kmax", type=int, default=5,
-        help="largest rank-1 generator index (default 5)",
-    )
-    parser.add_argument(
-        "--lmax", type=int, default=5,
+    )),
+    "kmax": ("--kmax", dict(
+        type=int, default=5, help="largest rank-1 generator index (default 5)",
+    )),
+    "lmax": ("--lmax", dict(
+        type=int, default=5,
         help="largest degree-zero generator index (default 5)",
-    )
-    parser.add_argument(
-        "--series-order", type=int, default=6,
+    )),
+    "series_order": ("--series-order", dict(
+        type=int, default=6,
         help="number of central-series coefficients (default 6)",
-    )
-    parser.add_argument(
-        "--specialize", type=Fraction, default=None, metavar="RATIONAL",
+    )),
+    "specialize": ("--specialize", dict(
+        type=Fraction, default=None, metavar="RATIONAL",
         help="evaluate the parameter at a rational (e.g. 7/3) instead of "
         "exact rational-function arithmetic",
-    )
-    parser.add_argument(
-        "--format", choices=("json", "text"), default="json",
+    )),
+    "fmt": ("--format", dict(
+        choices=("json", "text"), default="json",
         help="output format (default json)",
-    )
+    )),
+}
+
+
+def _add_flags(parser, *fields):
+    """The flags of ``fields``, then --specialize and --format, which every
+    command takes."""
+    for f in fields + ("specialize", "fmt"):
+        flag, kwargs = _FLAGS[f]
+        parser.add_argument(flag, dest=f, **kwargs)
 
 
 def build_parser():
@@ -65,7 +74,7 @@ def build_parser():
 
     p_jack = sub.add_parser("jack", help="Jack basis at a given degree")
     p_jack.add_argument("degree", type=int)
-    _add_common(p_jack)
+    _add_flags(p_jack, "N")
 
     p_es = sub.add_parser("eseries", help="central-series coefficients")
     p_es.add_argument(
@@ -77,29 +86,24 @@ def build_parser():
         "--preset", choices=("omega", "fitted"), default=None,
         help="specialize the central parameters",
     )
-    _add_common(p_es)
+    _add_flags(p_es, "series_order")
 
     p_dims = sub.add_parser("dims", help="graded filtration dimensions")
     p_dims.add_argument("rank", type=int)
     p_dims.add_argument("order", type=int)
-    _add_common(p_dims)
+    _add_flags(p_dims, "N")
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("suite", choices=SUITES)
-    _add_common(p_ver)
+    _add_flags(p_ver, "N", "kmax", "lmax")
 
     return parser
 
 
 def _config(args) -> Config:
-    return Config(
-        N=args.max_degree,
-        kmax=args.kmax,
-        lmax=args.lmax,
-        series_order=args.series_order,
-        specialize=args.specialize,
-        fmt=args.format,
-    )
+    """Config from the flags the command took; the rest keep their
+    defaults."""
+    return Config(**{f: getattr(args, f) for f in _FLAGS if hasattr(args, f)})
 
 
 def main(argv=None) -> int:

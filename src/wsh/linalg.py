@@ -163,18 +163,6 @@ def _unpack(n, w):
     return tuple(out)
 
 
-def mat_vec(A, v, field):
-    zero = field.zero
-    out = []
-    for row in A:
-        acc = zero
-        for a, x in zip(row, v):
-            if a != zero and x != zero:
-                acc = acc + a * x
-        out.append(acc)
-    return out
-
-
 def mat_add(A, B):
     return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 

@@ -222,9 +222,6 @@ class MultiPoly:
     def total_degree(self):
         return max((sum(e) for e in self.terms), default=-1)
 
-    def degree_in(self, i):
-        return max((e[i] for e in self.terms), default=-1)
-
     def coefficient(self, exps):
         return self.terms.get(tuple(exps), self.field.zero)
 

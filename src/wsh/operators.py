@@ -18,7 +18,7 @@ from . import linalg
 from .checks import CheckOutcome, zero_check
 from .partitions import add_part, content_power_sum, partitions_of
 from .presentation import T0, T1, FreeAlgebra, Realization
-from .symfunc import SymFunc, SymmetricFunctions
+from .symfunc import SymmetricFunctions
 
 
 class WindowError(ValueError):
@@ -127,24 +127,6 @@ class GradedOp:
             for row in self.blocks[n]:
                 out.extend(row)
         return out
-
-    def apply(self, f: SymFunc) -> SymFunc:
-        """Apply to a power-sum-basis symmetric function."""
-        field = self.field
-        out = {}
-        for n in f.degrees():
-            block = self.block(n)
-            parts_src = partitions_of(n)
-            parts_dst = partitions_of(n + self.rank)
-            idx = {lam: i for i, lam in enumerate(parts_src)}
-            v = [field.zero] * len(parts_src)
-            for lam, c in f.homogeneous(n).items():
-                v[idx[lam]] = c
-            w = linalg.mat_vec(block, v, field)
-            for lam, c in zip(parts_dst, w):
-                if c != field.zero:
-                    out[lam] = out.get(lam, field.zero) + c
-        return SymFunc("p", out, field)
 
 
 def ad(a, b):

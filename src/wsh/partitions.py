@@ -1,4 +1,4 @@
-"""Partitions, dominance order, and Young-diagram content sums.
+"""Partitions, their canonical listing, and Young-diagram content sums.
 
 Partitions are tuples of weakly decreasing positive ints; () is the unique
 partition of 0.  The canonical listing of partitions of n is descending
@@ -29,23 +29,6 @@ def partitions_of(n: int):
 
     gen(n, n, [])
     return tuple(out)
-
-
-def dominates(lam, mu) -> bool:
-    """True when lam >= mu in dominance order (same size assumed)."""
-    s, t = 0, 0
-    for i in range(max(len(lam), len(mu))):
-        s += lam[i] if i < len(lam) else 0
-        t += mu[i] if i < len(mu) else 0
-        if s < t:
-            return False
-    return True
-
-
-def conjugate(lam):
-    if not lam:
-        return ()
-    return tuple(sum(1 for a in lam if a > x) for x in range(lam[0]))
 
 
 def multiplicities(lam):

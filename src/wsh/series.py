@@ -85,17 +85,3 @@ def series_exp(x: TruncSeries, one) -> TruncSeries:
         term = tx._wrap([c / k for c in tx.coeffs])
         result = result + term
     return result
-
-
-def series_log(x: TruncSeries, one) -> TruncSeries:
-    """log of a series with constant term 1."""
-    if x.coeffs[0] != one:
-        raise ValueError("series_log requires constant term 1")
-    u = x - TruncSeries.constant(one, x.order, x.zero)
-    result = TruncSeries.constant(x.zero, x.order, x.zero)
-    power = TruncSeries.constant(one, x.order, x.zero)
-    for k in range(1, x.order + 1):
-        power = power * u
-        term = power._wrap([c / k for c in power.coeffs])
-        result = result + term if k % 2 else result - term
-    return result

@@ -1,15 +1,18 @@
-"""The ring of symmetric functions over F: monomial, power-sum, and
-integral-form Jack bases with exact change of basis.
+"""Symmetric functions over F as power-sum coordinate vectors, one degree
+at a time: the Jack matrix, the deformed pairing, and the m<->p change of
+basis.
 
-Power-sum coordinates are the canonical storage everywhere; the Jack basis
-is produced by Gram-Schmidt against <p_lam, p_mu> = delta * z_lam * alpha^len
-(alpha = 1/kappa) down the dominance order on the monomial basis, then
-scaled so the coefficient of m_(1^n) equals n!.
+A homogeneous symmetric function of degree n is its vector of power-sum
+coordinates, indexed by partitions_of(n); operators are matrices on these
+vectors.  Column j of the Jack matrix at degree n is J_lambda for the
+j-th partition lambda of n.  It is produced by Gram-Schmidt against
+<p_lam, p_mu> = delta * z_lam * alpha^len (alpha = 1/kappa) down the
+dominance order on the monomial basis, then scaled so the coefficient of
+m_(1^n) equals n!.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
@@ -50,83 +53,9 @@ def _p_to_m_int(n: int):
     return tuple(tuple(cols[j][i] for j in range(len(parts))) for i in range(len(parts)))
 
 
-class SymFunc:
-    """A finite F-linear combination of basis elements indexed by partitions."""
-
-    __slots__ = ("basis", "comps", "field")
-
-    def __init__(self, basis, comps, field, *, _clean=False):
-        if basis not in ("m", "p", "j"):
-            raise ValueError("unknown basis %r" % basis)
-        if not _clean:
-            comps = {lam: c for lam, c in comps.items() if c != field.zero}
-        self.basis = basis
-        self.comps = comps
-        self.field = field
-
-    @staticmethod
-    def zero(field, basis="p"):
-        return SymFunc(basis, {}, field, _clean=True)
-
-    @staticmethod
-    def one(field, basis="p"):
-        return SymFunc(basis, {(): field.one}, field, _clean=True)
-
-    @staticmethod
-    def power_sum(lam, field):
-        return SymFunc("p", {tuple(lam): field.one}, field, _clean=True)
-
-    def degrees(self):
-        return sorted({sum(lam) for lam in self.comps})
-
-    def homogeneous(self, n):
-        return {lam: c for lam, c in self.comps.items() if sum(lam) == n}
-
-    def __add__(self, other):
-        if self.basis != other.basis:
-            raise ValueError("mixed bases; convert first")
-        out = dict(self.comps)
-        zero = self.field.zero
-        for lam, c in other.comps.items():
-            s = out.get(lam, zero) + c
-            if s == zero:
-                out.pop(lam, None)
-            else:
-                out[lam] = s
-        return SymFunc(self.basis, out, self.field, _clean=True)
-
-    def __sub__(self, other):
-        return self + other.scale(self.field.from_int(-1))
-
-    def scale(self, c):
-        if c == self.field.zero:
-            return SymFunc.zero(self.field, self.basis)
-        return SymFunc(
-            self.basis, {lam: x * c for lam, x in self.comps.items()}, self.field
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SymFunc)
-            and self.basis == other.basis
-            and self.comps == other.comps
-        )
-
-    def __bool__(self):
-        return bool(self.comps)
-
-    def __repr__(self):
-        if not self.comps:
-            return "0"
-        return " + ".join(
-            "(%s)*%s%s" % (self.field.to_str(c), self.basis, list(lam))
-            for lam, c in sorted(self.comps.items(), reverse=True)
-        )
-
-
 class SymmetricFunctions:
-    """Basis conversions, the Jack basis, and the Jack inner product,
-    cached per degree for one field context."""
+    """The m<->p matrices, the pairing and the Jack matrix, cached per
+    degree for one field context."""
 
     def __init__(self, field):
         self.field = field
@@ -137,12 +66,6 @@ class SymmetricFunctions:
         self._gram = {}
 
     # -- transition matrices ---------------------------------------------
-
-    def parts(self, n):
-        return partitions_of(n)
-
-    def index(self, n):
-        return {lam: i for i, lam in enumerate(partitions_of(n))}
 
     def p_to_m(self, n):
         if n not in self._p2m:
@@ -177,7 +100,7 @@ class SymmetricFunctions:
     # -- Jack basis --------------------------------------------------------
 
     def jack_matrix(self, n):
-        """Columns: J_lambda in p-coordinates, aligned with parts(n)."""
+        """Columns: J_lambda in p-coordinates, aligned with partitions_of(n)."""
         if n not in self._jack:
             self._jack[n] = self._compute_jack(n)
         return self._jack[n]
@@ -217,79 +140,12 @@ class SymmetricFunctions:
                 )
             vecs[idx] = v
             norms[idx] = norm
-        # integral-form normalization: [m_(1^n)] J = n!
+        # integral-form normalization: [m_(1^n)] J = n!; the coefficient
+        # of v is its product with the last row of p2m ((1^n) is lex-least)
         nf = self.field.from_int(factorial(n))
+        last = p2m[k - 1]
         cols = []
-        for idx in range(k):
-            v = vecs[idx]
-            mcoords = linalg.mat_vec(p2m, v, self.field)
-            lead = mcoords[k - 1]  # (1^n) is lex-least, hence last
+        for v in vecs:
+            lead = sum((a * x for a, x in zip(last, v)), self.field.zero)
             cols.append([x * (nf / lead) for x in v])
         return [[cols[j][i] for j in range(k)] for i in range(k)]
-
-    def jack_basis(self, n):
-        """List of (partition, J_lambda as a p-basis SymFunc)."""
-        parts = partitions_of(n)
-        C = self.jack_matrix(n)
-        out = []
-        for j, lam in enumerate(parts):
-            comps = {
-                mu: C[i][j] for i, mu in enumerate(parts) if C[i][j] != self.field.zero
-            }
-            out.append((lam, SymFunc("p", comps, self.field, _clean=True)))
-        return out
-
-    # -- conversions and pairing ------------------------------------------
-
-    def _coords(self, f, n, basis):
-        idx = self.index(n)
-        v = [self.field.zero] * len(idx)
-        for lam, c in f.items():
-            v[idx[lam]] = c
-        return v
-
-    def convert(self, f: SymFunc, target: str) -> SymFunc:
-        if f.basis == target:
-            return f
-        out = {}
-        for n in f.degrees():
-            v = self._coords(f.homogeneous(n), n, f.basis)
-            if f.basis == "m":
-                v = linalg.mat_vec(self.m_to_p(n), v, self.field)
-            elif f.basis == "j":
-                v = linalg.mat_vec(self.jack_matrix(n), v, self.field)
-            # now in p-coordinates
-            if target == "m":
-                v = linalg.mat_vec(self.p_to_m(n), v, self.field)
-            elif target == "j":
-                v = linalg.mat_vec(self.jack_matrix_inv(n), v, self.field)
-            for lam, c in zip(partitions_of(n), v):
-                if c != self.field.zero:
-                    out[lam] = c
-        return SymFunc(target, out, self.field, _clean=True)
-
-    def multiply(self, f: SymFunc, g: SymFunc) -> SymFunc:
-        fp = self.convert(f, "p")
-        gp = self.convert(g, "p")
-        zero = self.field.zero
-        out = {}
-        for lam, a in fp.comps.items():
-            for mu, b in gp.comps.items():
-                nu = tuple(sorted(lam + mu, reverse=True))
-                s = out.get(nu, zero) + a * b
-                if s == zero:
-                    out.pop(nu, None)
-                else:
-                    out[nu] = s
-        return SymFunc("p", out, self.field, _clean=True)
-
-    def inner_product(self, f: SymFunc, g: SymFunc):
-        fp = self.convert(f, "p")
-        gp = self.convert(g, "p")
-        alpha = self.field.one / self.field.kappa
-        acc = self.field.zero
-        for lam, a in fp.comps.items():
-            b = gp.comps.get(lam)
-            if b is not None:
-                acc = acc + a * b * self.field.from_int(z_factor(lam)) * alpha ** len(lam)
-        return acc

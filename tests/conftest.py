@@ -5,7 +5,32 @@ import pytest
 from wsh.field import RationalFunctionField
 from wsh.multipoly import MultiPoly
 from wsh.operators import OpContext
+from wsh.partitions import partitions_of
 from wsh.shuffle import ShuffleElem
+
+
+def dominates(lam, mu) -> bool:
+    """True when lam >= mu in dominance order (same size assumed)."""
+    s, t = 0, 0
+    for i in range(max(len(lam), len(mu))):
+        s += lam[i] if i < len(lam) else 0
+        t += mu[i] if i < len(mu) else 0
+        if s < t:
+            return False
+    return True
+
+
+def column(op, lam):
+    """The image of p_lam under op: the nonzero entries of its column,
+    keyed by partition."""
+    n = sum(lam)
+    j = partitions_of(n).index(tuple(lam))
+    zero = op.field.zero
+    return {
+        mu: row[j]
+        for mu, row in zip(partitions_of(n + op.rank), op.block(n))
+        if row[j] != zero
+    }
 
 
 def mat_mul_oracle(A, B, field):

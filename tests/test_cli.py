@@ -1,5 +1,6 @@
 """Command-line interface: output shapes, flags, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -27,6 +28,35 @@ def test_jack_text_format(capsys):
     code, out, _ = run(capsys, "jack", "1", "--max-degree", "3", "--format", "text")
     assert code == 0
     assert "Jack basis at degree 1" in out
+
+
+@pytest.mark.parametrize(
+    "argv, sha256",
+    [
+        (
+            ("jack", "5"),
+            "199be979efd07964a27fbef0e0fdf95424104ed0b36ab43e22b25459e3eec75f",
+        ),
+        (
+            ("jack", "6", "--specialize", "9/4"),
+            "7f80e23f28314e5cc0af23ad1d56818c120f4a34f3c11c01fd37f59fde980275",
+        ),
+        (
+            ("jack", "3", "--format", "text"),
+            "e8d55ba46d669ab0ca2781182c39dfd38d12378dfc8c1005f8978c6a1812286b",
+        ),
+        # at kappa = 1 the coefficient of p[2,1] in J(2,1) vanishes and is
+        # left out
+        (
+            ("jack", "3", "--specialize", "1"),
+            "a239b5ca3bf05a691d8b0e01987f712f4e7f5841362ba696b148dd5669c9a7d7",
+        ),
+    ],
+)
+def test_jack_bytes_are_pinned(capsys, argv, sha256):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_dims(capsys):
@@ -62,6 +92,8 @@ def test_verify_small_suite(capsys):
     doc = json.loads(out)
     assert doc["status"] == "pass"
     assert doc["config"]["N"] == 5
+    # verify takes no --series-order; the report still echoes the default
+    assert doc["config"]["series_order"] == 6
     for check in doc["checks"]:
         assert set(check) >= {"id", "status", "window"}
     ids = [c["id"] for c in doc["checks"]]
@@ -127,6 +159,28 @@ def test_jobs_flag_is_gone(capsys):
         main(["verify", "positive", "--jobs", "2"])
     assert exc.value.code == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("jack", "3", "--kmax", "3"),
+        ("jack", "3", "--lmax", "3"),
+        ("jack", "3", "--series-order", "3"),
+        ("eseries", "--max-degree", "4"),
+        ("eseries", "--kmax", "3"),
+        ("eseries", "--lmax", "3"),
+        ("dims", "2", "2", "--kmax", "3"),
+        ("dims", "2", "2", "--lmax", "3"),
+        ("dims", "2", "2", "--series-order", "3"),
+        ("verify", "positive", "--series-order", "3"),
+    ],
+)
+def test_flags_a_command_does_not_read_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: %s" % argv[-2] in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n", [3, 4])

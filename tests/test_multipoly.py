@@ -34,6 +34,11 @@ def random_poly(rng, nvars, field, terms=4, degree=2):
     )
 
 
+def degree_in(p, i):
+    """Largest exponent of z_i in p (-1 for the zero polynomial)."""
+    return max((e[i] for e in p.terms), default=-1)
+
+
 def var(i, n=2):
     return MultiPoly.variable(i, n, F)
 
@@ -71,7 +76,7 @@ def test_extend_and_substitute():
     x = MultiPoly.variable(0, 1, F)
     p = (x + 1) ** 2
     q = p.extend(3, offset=1)
-    assert q.nvars == 3 and q.degree_in(1) == 2
+    assert q.nvars == 3 and degree_in(q, 1) == 2
     evaluated = q.substitute_scalars({1: F.from_int(2)})
     assert evaluated == MultiPoly.constant(F.from_int(9), 3, F)
 

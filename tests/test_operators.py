@@ -3,21 +3,24 @@
 from fractions import Fraction
 
 import pytest
-from conftest import mat_mul_oracle
+from conftest import column, mat_mul_oracle
 
 from wsh import linalg
 from wsh.checks import zero_check
 from wsh.field import SpecializedField
 from wsh.operators import OpContext, WindowError, ad
-from wsh.partitions import content_power_sum, partitions_of
-from wsh.symfunc import SymFunc
+from wsh.partitions import add_part, content_power_sum, partitions_of
+from wsh.report import _spectrum_checks
 
 
 def test_multiplication_acts_on_power_sums(ctx6):
+    # p_lam -> p_{lam + (l)} on every partition of the window
     F = ctx6.field
-    p2 = SymFunc.power_sum((2,), F)
-    assert ctx6.multiplication(1).apply(p2) == SymFunc.power_sum((2, 1), F)
-    assert ctx6.multiplication(3).apply(p2) == SymFunc.power_sum((3, 2), F)
+    for l in (1, 3):
+        op = ctx6.multiplication(l)
+        for n in range(ctx6.N - l + 1):
+            for lam in partitions_of(n):
+                assert column(op, lam) == {add_part(lam, l): F.one}
 
 
 def test_sekiguchi_diagonal_on_jack(ctx6):
@@ -45,6 +48,32 @@ def test_sekiguchi_matches_entrywise_conjugation(field, kappa):
             assert op.block(n) == want
 
 
+@pytest.mark.parametrize(
+    "l, wrong",
+    [(l, [(2, 1)]) for l in (1, 2, 3, 4)]
+    # the first one found: degrees ascending, then partitions_of order
+    + [(2, [(4,), (2, 1), (1, 1, 1)])],
+)
+def test_spectrum_check_names_a_wrong_eigenvalue(field, l, wrong):
+    # D_{0,l} rebuilt with the eigenvalue on each partition in wrong off by one
+    ctx = OpContext(field, 4)
+    for n in sorted({sum(lam) for lam in wrong}):
+        eigs = [
+            content_power_sum(lam, l, field) + (field.one if lam in wrong else 0)
+            for lam in partitions_of(n)
+        ]
+        C = ctx.sym.jack_matrix(n)
+        mid = [[c * e for c, e in zip(row, eigs)] for row in C]
+        Cinv = ctx.sym.jack_matrix_inv(n)
+        ctx.sekiguchi(l).blocks[n] = mat_mul_oracle(mid, Cinv, field)
+    outcomes = {o.id: o for o in (run() for run in _spectrum_checks(ctx))}
+    assert sorted(outcomes) == ["spectrum(%d)" % m for m in (1, 2, 3, 4)]
+    bad = outcomes.pop("spectrum(%d)" % l)
+    assert bad.status == "fail"
+    assert bad.detail == "wrong eigenvalue on (2, 1)"
+    assert all(o.status == "pass" for o in outcomes.values())
+
+
 def test_sekiguchi_degree_two_eigenvalues(ctx6):
     # order-2 operator: eigenvalue -1 on the row (2), kappa on the column (11)
     F = ctx6.field
@@ -60,9 +89,8 @@ def test_bracket_of_first_two_raising_generators(ctx6):
     lhs = ctx6.d1(1).commutator(ctx6.d1(0))
     assert lhs == ctx6.drd(2, 0)
     F = ctx6.field
-    one = SymFunc.one(F)
     # D_{2,0} is minus multiplication by p_2 in this content convention
-    assert lhs.apply(one) == SymFunc.power_sum((2,), F).scale(-F.one)
+    assert column(lhs, ()) == {(2,): -F.one}
 
 
 def test_defining_relations_small_window(ctx6):

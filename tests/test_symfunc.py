@@ -1,48 +1,58 @@
-"""Symmetric functions: basis changes, the deformed pairing, Jack basis."""
+"""Symmetric functions as power-sum coordinate vectors: the m<->p change
+of basis, the deformed pairing, and the Jack matrix."""
 
+import math
+
+from conftest import dominates
+
+from wsh import linalg
 from wsh.field import RationalFunctionField
 from wsh.partitions import partitions_of, z_factor
-from wsh.symfunc import SymFunc, SymmetricFunctions
+from wsh.symfunc import SymmetricFunctions
 
 F = RationalFunctionField()
 S = SymmetricFunctions(F)
 
 
 def jack(lam):
-    return dict(S.jack_basis(sum(lam)))[lam]
+    """J_lam in p-coordinates: the nonzero entries of its column."""
+    n = sum(lam)
+    j = partitions_of(n).index(lam)
+    return {
+        mu: row[j]
+        for mu, row in zip(partitions_of(n), S.jack_matrix(n))
+        if row[j] != F.zero
+    }
 
 
 def test_jack_degree_two_closed_forms():
     k = F.kappa
-    j2 = jack((2,))
-    assert j2.comps == {(2,): F.one / k, (1, 1): F.one}
-    j11 = jack((1, 1))
-    assert j11.comps == {(2,): -F.one, (1, 1): F.one}
+    assert jack((2,)) == {(2,): F.one / k, (1, 1): F.one}
+    assert jack((1, 1)) == {(2,): -F.one, (1, 1): F.one}
 
 
 def test_jack_monomial_unitriangular():
-    # expanding in monomials: coefficient of m_lambda in J_lambda is nonzero,
-    # and only dominated partitions appear; [m_(1^n)] J = n!
-    import math
-
-    from wsh.partitions import dominates
-
+    # in monomials (the columns of p_to_m . C): the coefficient of m_lambda
+    # in J_lambda is nonzero, only dominated partitions appear, and
+    # [m_(1^n)] J = n! (the last row)
     for n in range(1, 6):
-        for lam, j in S.jack_basis(n):
-            mexp = S.convert(j, "m")
-            assert mexp.comps[lam] != F.zero
-            for mu in mexp.comps:
-                assert dominates(lam, mu)
-            assert mexp.comps[(1,) * n] == F.from_int(math.factorial(n))
+        parts = partitions_of(n)
+        M = linalg.mat_mul(S.p_to_m(n), S.jack_matrix(n), F)
+        for j, lam in enumerate(parts):
+            assert M[j][j] != F.zero
+            for mu, row in zip(parts, M):
+                if row[j] != F.zero:
+                    assert dominates(lam, mu)
+        assert M[-1] == [F.from_int(math.factorial(n))] * len(parts)
 
 
 def test_jack_orthogonality():
     for n in range(1, 6):
-        basis = S.jack_basis(n)
-        for i, (lam, jl) in enumerate(basis):
-            for mu, jm in basis[i + 1 :]:
-                assert S.inner_product(jl, jm) == F.zero
-            assert S.inner_product(jl, jl) != F.zero
+        cols = list(zip(*S.jack_matrix(n)))
+        for i, u in enumerate(cols):
+            for v in cols[i + 1 :]:
+                assert S._pairing(n, u, v) == F.zero
+            assert S._pairing(n, u, u) != F.zero
 
 
 def test_pairing_diagonal_on_power_sums():
@@ -51,33 +61,24 @@ def test_pairing_diagonal_on_power_sums():
     for n in range(1, 5):
         parts = partitions_of(n)
         diag = S.gram_diag(n)
+        unit = linalg.identity(len(parts), F)
         for i, lam in enumerate(parts):
             expect = F.from_int(z_factor(lam)) / k ** len(lam)
             assert diag[i] == expect
-            pl = SymFunc.power_sum(lam, F)
-            for mu in parts:
-                pm = SymFunc.power_sum(mu, F)
-                assert S.inner_product(pl, pm) == (
-                    expect if lam == mu else F.zero
+            for j in range(len(parts)):
+                assert S._pairing(n, unit[i], unit[j]) == (
+                    expect if i == j else F.zero
                 )
 
 
 def test_p_m_roundtrip():
     for n in range(1, 6):
-        for lam in partitions_of(n):
-            pl = SymFunc.power_sum(lam, F)
-            assert S.convert(S.convert(pl, "m"), "p") == pl
-
-
-def test_multiply_power_sums_concatenates():
-    a = SymFunc.power_sum((2,), F)
-    b = SymFunc.power_sum((1,), F)
-    assert S.multiply(a, b) == SymFunc.power_sum((2, 1), F)
+        assert linalg.mat_mul(S.m_to_p(n), S.p_to_m(n), F) == linalg.identity(
+            len(partitions_of(n)), F
+        )
 
 
 def test_jack_matrix_inverse():
-    from wsh import linalg
-
     for n in range(1, 5):
         M = S.jack_matrix(n)
         Minv = S.jack_matrix_inv(n)
@@ -85,7 +86,5 @@ def test_jack_matrix_inverse():
 
 
 def test_jack_inverse_from_orthogonality_matches_gauss_jordan():
-    from wsh import linalg
-
     for n in range(7):
         assert S.jack_matrix_inv(n) == linalg.mat_inv(S.jack_matrix(n), F)
