@@ -3,8 +3,7 @@
 Two layers:
 
 * dense matrices: a fraction-free product, which multiplies in Z[kappa]
-  and reduces each result entry once, and Gauss-Jordan inversion over
-  field elements;
+  and reduces each result entry once;
 * one fraction-free echelon form ("SpanBasis") that clears denominators
   and eliminates on primitive rows in the ring the cleared entries lie
   in: integer kappa-polynomials (coefficient tuples) in exact mode, plain
@@ -178,24 +177,6 @@ def mat_scale(A, c):
 def mat_is_zero(A, field):
     zero = field.zero
     return all(a == zero for row in A for a in row)
-
-
-def mat_inv(A, field):
-    n = len(A)
-    zero, one = field.zero, field.one
-    work = [list(row) + ident_row for row, ident_row in zip(A, identity(n, field))]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col] != zero), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        work[col], work[piv] = work[piv], work[col]
-        inv = one / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != zero:
-                f = work[r][col]
-                work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-    return [row[n:] for row in work]
 
 
 # ----------------------------------------------------------------------

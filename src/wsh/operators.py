@@ -199,18 +199,30 @@ class OpContext:
 
     def sekiguchi(self, l) -> GradedOp:
         """The commuting rank-0 operator diagonal on the Jack basis with
-        eigenvalue sum-of-content-powers (exponent l-1)."""
+        eigenvalue sum-of-content-powers (exponent l-1): the degree n for
+        l = 1, the closed-form Laplace-Beltrami operator for l = 2, and
+        C diag C^-1 from the Jack matrix C beyond."""
         if l < 1:
             raise ValueError("index must be >= 1")
         if l not in self._sek:
             field = self.field
             blocks = {}
             for n in range(0, self.N + 1):
-                C = self.sym.jack_matrix(n)
-                Cinv = self.sym.jack_matrix_inv(n)
-                eigs = [content_power_sum(lam, l, field) for lam in partitions_of(n)]
-                mid = [[c * eigs[j] for j, c in enumerate(row)] for row in C]
-                blocks[n] = linalg.mat_mul(mid, Cinv, field)
+                if l == 1:
+                    block = linalg.mat_scale(
+                        linalg.identity(self.dims(n), field), field.from_int(n)
+                    )
+                elif l == 2:
+                    block = self.sym.laplace_beltrami(n)
+                else:
+                    C = self.sym.jack_matrix(n)
+                    Cinv = self.sym.jack_matrix_inv(n)
+                    eigs = [
+                        content_power_sum(lam, l, field) for lam in partitions_of(n)
+                    ]
+                    mid = [[c * eigs[j] for j, c in enumerate(row)] for row in C]
+                    block = linalg.mat_mul(mid, Cinv, field)
+                blocks[n] = block
             self._sek[l] = GradedOp(0, blocks, field)
         return self._sek[l]
 

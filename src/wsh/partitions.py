@@ -72,6 +72,17 @@ def content_power_sum(lam, l: int, field):
     return acc
 
 
+def dominates(lam, mu) -> bool:
+    """True when lam >= mu in dominance order (same size assumed)."""
+    s, t = 0, 0
+    for i in range(max(len(lam), len(mu))):
+        s += lam[i] if i < len(lam) else 0
+        t += mu[i] if i < len(mu) else 0
+        if s < t:
+            return False
+    return True
+
+
 def add_part(lam, r):
     """Partition obtained by inserting a part r (r >= 1)."""
     return tuple(sorted(lam + (r,), reverse=True))

@@ -1,23 +1,14 @@
 from itertools import combinations
+from math import factorial
 
 import pytest
 
+from wsh import linalg
 from wsh.field import RationalFunctionField
 from wsh.multipoly import MultiPoly
 from wsh.operators import OpContext
 from wsh.partitions import partitions_of
 from wsh.shuffle import ShuffleElem
-
-
-def dominates(lam, mu) -> bool:
-    """True when lam >= mu in dominance order (same size assumed)."""
-    s, t = 0, 0
-    for i in range(max(len(lam), len(mu))):
-        s += lam[i] if i < len(lam) else 0
-        t += mu[i] if i < len(mu) else 0
-        if s < t:
-            return False
-    return True
 
 
 def column(op, lam):
@@ -31,6 +22,52 @@ def column(op, lam):
         for mu, row in zip(partitions_of(n + op.rank), op.block(n))
         if row[j] != zero
     }
+
+
+def pairing(sym, n, u, v):
+    """<u, v> for p-coordinate vectors at degree n:
+    sum over lambda of u_lambda v_lambda z_lambda alpha^len(lambda)."""
+    zero = sym.field.zero
+    acc = zero
+    for gi, a, b in zip(sym.gram_diag(n), u, v):
+        if a != zero and b != zero:
+            acc = acc + gi * a * b
+    return acc
+
+
+def jack_matrix_oracle(sym, n):
+    """The Jack matrix at degree n by Gram-Schmidt against ``pairing``
+    down the dominance order on the monomial basis, scaled so the
+    coefficient of m_(1^n) equals n!.  The reference for
+    ``SymmetricFunctions.jack_matrix``."""
+    field = sym.field
+    parts = partitions_of(n)
+    m2p = sym.m_to_p(n)
+    p2m = sym.p_to_m(n)
+    k = len(parts)
+    vecs = [None] * k
+    norms = [None] * k
+    # ascending dominance: orthogonalize starting from the lex-least
+    for idx in range(k - 1, -1, -1):
+        v = [m2p[r][idx] for r in range(k)]
+        for jdx in range(k - 1, idx, -1):
+            w = vecs[jdx]
+            coeff = pairing(sym, n, v, w) / norms[jdx]
+            if coeff != field.zero:
+                v = [a - coeff * b for a, b in zip(v, w)]
+        norm = pairing(sym, n, v, v)
+        if norm == field.zero:
+            raise ArithmeticError("orthogonalization pivot vanished")
+        vecs[idx] = v
+        norms[idx] = norm
+    # the coefficient of m_(1^n) is the product with the last row of p2m
+    nf = field.from_int(factorial(n))
+    last = p2m[k - 1]
+    cols = []
+    for v in vecs:
+        lead = sum((a * x for a, x in zip(last, v)), field.zero)
+        cols.append([x * (nf / lead) for x in v])
+    return [[cols[j][i] for j in range(k)] for i in range(k)]
 
 
 def mat_mul_oracle(A, B, field):
@@ -117,6 +154,26 @@ def star_product_oracle(P, Q, kernel):
         perm = list(subset) + comp  # original position i goes to perm[i]
         acc = acc + mul(G.permute_vars(perm), vand.divexact(wcross.permute_vars(perm)))
     return ShuffleElem(acc.divexact(vand))
+
+
+def mat_inv_oracle(A, field):
+    """Gauss-Jordan inverse over field elements.  The reference for
+    ``SymmetricFunctions.m_to_p`` and ``jack_matrix_inv``."""
+    n = len(A)
+    zero, one = field.zero, field.one
+    work = [list(row) + unit for row, unit in zip(A, linalg.identity(n, field))]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if work[r][col] != zero), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        work[col], work[piv] = work[piv], work[col]
+        inv = one / work[col][col]
+        work[col] = [x * inv for x in work[col]]
+        for r in range(n):
+            if r != col and work[r][col] != zero:
+                f = work[r][col]
+                work[r] = [a - f * b for a, b in zip(work[r], work[col])]
+    return [row[n:] for row in work]
 
 
 def fraction_rank_oracle(rows) -> int:

@@ -145,7 +145,7 @@ def test_unknown_suite_rejected(capsys):
     ],
 )
 def test_pole_of_kappa_is_a_usage_error(capsys, argv):
-    # kappa = -1 makes the Jack orthogonalization pivot vanish
+    # kappa = -1 makes a hook factor of the Jack norm vanish
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""

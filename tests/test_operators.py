@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from conftest import column, mat_mul_oracle
+from conftest import column, jack_matrix_oracle, mat_inv_oracle, mat_mul_oracle
 
 from wsh import linalg
 from wsh.checks import zero_check
@@ -44,8 +44,23 @@ def test_sekiguchi_matches_entrywise_conjugation(field, kappa):
             C = ctx.sym.jack_matrix(n)
             eigs = [content_power_sum(lam, l, F) for lam in partitions_of(n)]
             mid = [[c * e for c, e in zip(row, eigs)] for row in C]
-            want = mat_mul_oracle(mid, linalg.mat_inv(C, F), F)
+            want = mat_mul_oracle(mid, mat_inv_oracle(C, F), F)
             assert op.block(n) == want
+
+
+@pytest.mark.parametrize("kappa", [None, Fraction(7, 3)])
+def test_closed_form_sekiguchi_equals_jack_conjugation(field, kappa):
+    # n I and the Laplace-Beltrami block against C diag C^-1, C the
+    # Gram-Schmidt Jack matrix and C^-1 its Gauss-Jordan inverse
+    F = field if kappa is None else SpecializedField(kappa)
+    ctx = OpContext(F, 6)
+    for n in range(ctx.N + 1):
+        C = jack_matrix_oracle(ctx.sym, n)
+        Cinv = mat_inv_oracle(C, F)
+        for l in (1, 2):
+            eigs = [content_power_sum(lam, l, F) for lam in partitions_of(n)]
+            mid = [[c * e for c, e in zip(row, eigs)] for row in C]
+            assert ctx.sekiguchi(l).block(n) == mat_mul_oracle(mid, Cinv, F)
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,10 @@
 """Partition combinatorics and content power sums."""
 
 import pytest
-from conftest import dominates
 
 from wsh import partitions as pt
 from wsh.field import RationalFunctionField
+from wsh.partitions import dominates
 
 F = RationalFunctionField()
 
