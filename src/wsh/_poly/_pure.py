@@ -1,13 +1,13 @@
-"""Dense univariate integer polynomials, pure-Python backend.
+"""Dense univariate integer polynomials.
 
 A polynomial is a tuple of ints, ascending by exponent, with no trailing
 zeros; the zero polynomial is the empty tuple.  These routines are the hot
-kernel of all exact Q(kappa) arithmetic; the compiled backend in
-``_speedups.pyx`` implements the identical interface.
+kernel of all exact Q(kappa) arithmetic.
 """
 
 from math import gcd
 
+# wshbench records it as wsh.POLY_BACKEND and compares only runs that agree
 BACKEND = "pure"
 
 

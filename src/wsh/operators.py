@@ -284,24 +284,22 @@ class OpContext:
 
     # -- spectral helpers ---------------------------------------------------
 
-    def jack_conjugate_block(self, op: GradedOp, n):
-        """Rank-0 block expressed in the Jack basis."""
+    def jack_eigenvalues(self, op: GradedOp, n):
+        """Eigenvalues of a rank-0 block on the Jack basis: column j of
+        B·C must be eig_j times column j of the Jack matrix C; raises when
+        one is not."""
         if op.rank != 0:
             raise ValueError("rank-0 operator required")
         C = self.sym.jack_matrix(n)
-        Cinv = self.sym.jack_matrix_inv(n)
-        return linalg.mat_mul(Cinv, linalg.mat_mul(op.block(n), C, self.field), self.field)
-
-    def jack_eigenvalues(self, op: GradedOp, n):
-        """Diagonal in the Jack basis; raises when off-diagonal entries
-        survive."""
-        B = self.jack_conjugate_block(op, n)
-        zero = self.field.zero
-        for i, row in enumerate(B):
-            for j, x in enumerate(row):
-                if i != j and x != zero:
-                    raise ArithmeticError("operator not diagonal in Jack basis")
-        return [B[i][i] for i in range(len(B))]
+        image = linalg.mat_mul(op.block(n), C, self.field)
+        eigs = []
+        for j in range(len(C)):
+            # the last row, p_(1^n), is 1 in every Jack column
+            eig = image[-1][j] / C[-1][j]
+            if any(row[j] != eig * c[j] for row, c in zip(image, C)):
+                raise ArithmeticError("operator not diagonal in Jack basis")
+            eigs.append(eig)
+        return eigs
 
     # -- relation checks -----------------------------------------------------
 

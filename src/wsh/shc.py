@@ -187,6 +187,12 @@ def central_series(field, M, conv) -> ESeries:
     E_0..E_{M-1}."""
     if conv not in GCONVENTIONS:
         raise ValueError("unknown convention %r" % (conv,))
+    xi = field.kappa - field.one
+    if xi == field.zero:
+        raise ArithmeticError(
+            "central series degenerates at kappa = 1 (xi = kappa - 1 = 0); "
+            "rerun with a new kappa value"
+        )
     ring = CentralRing(field, M)
     order = M
     zero_series = TruncSeries.constant(ring.zero, order, ring.zero)
@@ -205,7 +211,6 @@ def central_series(field, M, conv) -> ESeries:
     total = series_exp(cexp, ring.one) * series_exp(dexp, ring.one)
     if total.coeffs[0] != ring.one:
         raise ArithmeticError("central series not normalized")
-    xi = field.kappa - field.one
     coeffs = [total.coeffs[l + 1] / xi for l in range(M)]
     return ESeries(conv, ring, coeffs)
 

@@ -176,6 +176,14 @@ def mat_inv_oracle(A, field):
     return [row[n:] for row in work]
 
 
+def jack_conjugate_oracle(ctx, op, n):
+    """C^-1·B·C for the rank-0 block B of ``op`` at degree n and the Jack
+    matrix C.  The reference for ``OpContext.jack_eigenvalues``."""
+    F = ctx.field
+    C = ctx.sym.jack_matrix(n)
+    return mat_mul_oracle(ctx.sym.jack_matrix_inv(n), mat_mul_oracle(op.block(n), C, F), F)
+
+
 def fraction_rank_oracle(rows) -> int:
     """Rank of a list of Fraction rows by Gaussian elimination over Q.
     The reference for the fraction-free rank of ``linalg.SpanBasis``."""

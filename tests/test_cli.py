@@ -142,15 +142,20 @@ def test_unknown_suite_rejected(capsys):
     [
         ("jack", "3", "--specialize=-1"),
         ("verify", "positive", "--max-degree", "4", "--specialize=-1"),
+        ("eseries", "--specialize", "1"),
+        ("verify", "fock", "--max-degree", "5", "--specialize", "1"),
     ],
 )
 def test_pole_of_kappa_is_a_usage_error(capsys, argv):
-    # kappa = -1 makes a hook factor of the Jack norm vanish
+    # kappa = -1 makes a hook factor of the Jack norm vanish; kappa = 1
+    # makes the central series' divisor xi = kappa - 1 vanish
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    if argv[-1] == "1":
+        assert "kappa = 1 " in err
 
 
 def test_jobs_flag_is_gone(capsys):

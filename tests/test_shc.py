@@ -1,7 +1,10 @@
 """Central series, negative half, and the central-character fit."""
 
 import pytest
+from conftest import jack_conjugate_oracle
 
+from wsh.operators import GradedOp
+from wsh.partitions import partitions_of
 from wsh.shc import GCONVENTIONS, ShcContext, central_series, omega_preset
 
 
@@ -51,6 +54,34 @@ def test_split_independence_and_diagonality(shc6):
     outs = shc6.split_independence_checks(2)
     assert len(outs) == 6
     assert all(o.status == "pass" for o in outs)
+
+
+def test_jack_eigenvalues_match_the_conjugation_oracle(shc6):
+    # one product B·C against C^-1·B·C: the same eigenvalues on the
+    # diagonal blocks of e_operator and sekiguchi(2), and an error on the
+    # power-sum length operator, off-diagonal on Jack functions from n = 2
+    ctx = shc6.opctx
+    F = ctx.field
+    blocks = {}
+    for n in range(ctx.N + 1):
+        ps = partitions_of(n)
+        blocks[n] = [
+            [F.from_int(len(lam)) if i == j else F.zero for j in range(len(ps))]
+            for i, lam in enumerate(ps)
+        ]
+    lengths = GradedOp(0, blocks, F)
+    ops = [shc6.e_operator(0, h) for h in range(5)] + [ctx.sekiguchi(2), lengths]
+    for op in ops:
+        for n in sorted(op.blocks):
+            B = jack_conjugate_oracle(ctx, op, n)
+            off = [x for i, row in enumerate(B) for j, x in enumerate(row) if i != j]
+            if op is lengths and n >= 2:
+                assert any(x != F.zero for x in off)
+                with pytest.raises(ArithmeticError):
+                    ctx.jack_eigenvalues(op, n)
+            else:
+                assert all(x == F.zero for x in off)
+                assert ctx.jack_eigenvalues(op, n) == [B[i][i] for i in range(len(B))]
 
 
 def test_negative_relations(shc6):
