@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from . import linalg
 from .checks import CheckOutcome, zero_check
-from .partitions import add_part, content_power_sum, partitions_of
+from .partitions import add_part, partitions_of
 from .presentation import T0, T1, FreeAlgebra, Realization
 from .symfunc import SymmetricFunctions
 
@@ -198,32 +198,20 @@ class OpContext:
         return GradedOp(0, blocks, field)
 
     def sekiguchi(self, l) -> GradedOp:
-        """The commuting rank-0 operator diagonal on the Jack basis with
-        eigenvalue sum-of-content-powers (exponent l-1): the degree n for
-        l = 1, the closed-form Laplace-Beltrami operator for l = 2, and
-        C diag C^-1 from the Jack matrix C beyond."""
+        """The commuting rank-0 operator D_{0,l}, diagonal on the Jack basis
+        with eigenvalue sum-of-content-powers (exponent l-1), built from
+        the moments of the Lax operator (``SymmetricFunctions.
+        commuting_blocks``) with no Jack basis.  One build gives every
+        D_{0,m}, m <= l, not yet cached; the moments are not kept."""
         if l < 1:
             raise ValueError("index must be >= 1")
         if l not in self._sek:
-            field = self.field
-            blocks = {}
-            for n in range(0, self.N + 1):
-                if l == 1:
-                    block = linalg.mat_scale(
-                        linalg.identity(self.dims(n), field), field.from_int(n)
-                    )
-                elif l == 2:
-                    block = self.sym.laplace_beltrami(n)
-                else:
-                    C = self.sym.jack_matrix(n)
-                    Cinv = self.sym.jack_matrix_inv(n)
-                    eigs = [
-                        content_power_sum(lam, l, field) for lam in partitions_of(n)
-                    ]
-                    mid = [[c * eigs[j] for j, c in enumerate(row)] for row in C]
-                    block = linalg.mat_mul(mid, Cinv, field)
-                blocks[n] = block
-            self._sek[l] = GradedOp(0, blocks, field)
+            # the cached indices are always 1..len(self._sek)
+            missing = range(len(self._sek) + 1, l + 1)
+            built = [self.sym.commuting_blocks(n, missing) for n in range(self.N + 1)]
+            for i, m in enumerate(missing):
+                blocks = {n: mats[i] for n, mats in enumerate(built)}
+                self._sek[m] = GradedOp(0, blocks, self.field)
         return self._sek[l]
 
     def d1(self, k) -> GradedOp:

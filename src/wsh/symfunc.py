@@ -1,28 +1,40 @@
 """Symmetric functions over F as power-sum coordinate vectors, one degree
-at a time: the m<->p change of basis, the deformed pairing, the
-Laplace-Beltrami operator and the Jack matrix.
+at a time: the m<->p change of basis, the deformed pairing, the commuting
+operators D_{0,l} and the Jack matrix.
 
 A homogeneous symmetric function of degree n is its vector of power-sum
 coordinates, indexed by partitions_of(n); operators are matrices on these
-vectors.  Column j of the Jack matrix at degree n is J_lambda for the
-j-th partition lambda of n.  The Laplace-Beltrami (cut-and-join) operator
-D_{0,2} has a closed form in power sums and is triangular under dominance
-on the monomial basis (Stanley, Adv. Math. 77 (1989), Thm 3.1), so
-J_lambda is its eigenvector m_lambda + (dominated terms), found by one
-back-substitution down the lex order, then scaled so the coefficient of
-m_(1^n) equals n!.  Its norm under <p_lam, p_mu> = delta * z_lam *
-alpha^len (alpha = 1/kappa) is a hook product (Macdonald, Symmetric
-Functions, VI (10.16)).
+vectors.
+
+D_{0,l} is built from the moments of the Nazarov-Sklyanin Lax operator
+(SIGMA 9 (2013) 078) in an integer normalization: L acts on
+V_n = sum_i Lambda_{n-i} xi^i with entries in Z[kappa], the moment a_m is
+the Lambda_n block of L^m, diagonal on the Jack basis with eigenvalue the
+u^-m coefficient of prod over boxes s of phi(u + c(s)), phi(u) =
+u(u+kappa-1)/((u-1)(u+kappa)), and the log-derivative of the moments is
+a Z-linear combination of the D_{0,l}.  All of it is int arithmetic,
+kappa Kronecker-packed in exact mode, with one division per entry at the
+end.
+
+Column j of the Jack matrix at degree n is J_lambda for the j-th
+partition lambda of n.  D_{0,2} is the Laplace-Beltrami (cut-and-join)
+operator, triangular under dominance on the monomial basis (Stanley,
+Adv. Math. 77 (1989), Thm 3.1), so J_lambda is its eigenvector m_lambda +
+(dominated terms), found by one back-substitution down the lex order,
+then scaled so the coefficient of m_(1^n) equals n!.  Its norm under
+<p_lam, p_mu> = delta * z_lam * alpha^len (alpha = 1/kappa) is a hook
+product (Macdonald, Symmetric Functions, VI (10.16)).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 from . import linalg
 from .field import RationalFunctionField
+from .linalg import _slot_width, _unpack
 from .partitions import (
     add_part,
     boxes,
@@ -86,47 +98,124 @@ def _m_to_p_frac(n: int):
     return X
 
 
-def _cut_and_join_int(n: int):
-    """Twice the D_{0,2} block at degree n as integer pairs: entry (i, j)
-    is (c0, c1) with 2 [p_{lambda_i}] D_{0,2} p_{lambda_j} = c0 + c1 kappa.
+@lru_cache(maxsize=None)
+def _lax_rows(n: int):
+    """The Lax operator on V_n as sparse integer rows.
 
-    On p_lam: joining parts r and s (each pair of positions) gives -2rs,
-    cutting a part r into (i, r-i), i = 1..r-1, gives -r kappa each, and
-    every part r gives r(r-1)(kappa-1) on the diagonal.
+    V_n = sum_i Lambda_{n-i} xi^i has the basis xi^i p_mu, mu a partition
+    of n - i, listed by i and then in partitions_of order, so the first
+    len(partitions_of(n)) elements are Lambda_n itself.  Row t is a tuple
+    of (column, c0, c1) for the nonzero entries c0 + c1 kappa of
+        L(xi^j p_mu) = sum_{i<j} kappa xi^i p_{mu + (j-i)}
+                       + sum_k k m_k(mu) xi^(j+k) p_{mu - (k)}
+                       + (1 - kappa) j xi^j p_mu.
     """
-    parts = partitions_of(n)
-    index = {lam: i for i, lam in enumerate(parts)}
-    mat = [[(0, 0)] * len(parts) for _ in parts]
+    basis = [(i, mu) for i in range(n + 1) for mu in partitions_of(n - i)]
+    index = {b: t for t, b in enumerate(basis)}
+    rows = [[] for _ in basis]
+    for col, (j, mu) in enumerate(basis):
+        for i in range(j):
+            rows[index[i, add_part(mu, j - i)]].append((col, 0, 1))
+        for k, mk in multiplicities(mu).items():
+            rest = list(mu)
+            rest.remove(k)
+            rows[index[j + k, tuple(rest)]].append((col, k * mk, 0))
+        if j:
+            rows[col].append((col, j, -j))
+    return tuple(map(tuple, rows))
 
-    def put(mu, j, c0, c1):
-        i = index[mu]
-        a, b = mat[i][j]
-        mat[i][j] = (a + c0, b + c1)
 
-    for j, lam in enumerate(parts):
-        diag = sum(r * (r - 1) for r in lam)
-        put(lam, j, -diag, diag)
-        for a, r in enumerate(lam):
-            rest = lam[:a] + lam[a + 1 :]
-            for b in range(a, len(rest)):
-                s = rest[b]
-                put(add_part(rest[:b] + rest[b + 1 :], r + s), j, -2 * r * s, 0)
-            for i in range(1, r):
-                put(add_part(add_part(rest, i), r - i), j, 0, -r)
-    return mat
+@lru_cache(maxsize=None)
+def _moment_bound(n: int, lmax: int):
+    """A bound on the coefficients of z_m (m <= lmax + 1) and D_{0,l}
+    (l <= lmax) at degree n over Z[kappa], following their recursions with
+    l1-norms, which are submultiplicative and unchanged by dividing by
+    kappa: |a_m| <= R^m, R the largest l1 row sum of L, and
+    |(kappa-1)^e - (-1)^e - kappa^e| <= 2^e."""
+    d = len(partitions_of(n))
+    R = max(sum(abs(c0) + abs(c1) for _, c0, c1 in r) for r in _lax_rows(n))
+    Z = [0]
+    for m in range(1, lmax + 2):
+        Z.append(m * R**m + sum(d * Z[k] * R ** (m - k) for k in range(1, m)))
+    D = [0, n]
+    for l in range(2, lmax + 1):
+        rhs = Z[l + 1] + sum(
+            comb(l + 1, j) * 2 ** (l + 1 - j) * D[j + 1] for j in range(l - 1)
+        )
+        D.append(rhs // (l * (l + 1)))
+    return max(Z + D)
+
+
+def _commuting_ints(n: int, ls, P: int, Q: int):
+    """Q^(l-1) D_{0,l} at degree n for each l in ls, with kappa = P/Q, as
+    int matrices; exact over Z[kappa] when Q = 1 and P = 2^w is a
+    Kronecker slot wide enough for every coefficient.
+
+    A_m = Q^m a_m, a_m the Lambda_n -> Lambda_n block of L^m; the a_m
+    commute, a_1 = 0 and a_2 = kappa n.  The log-derivative z_m =
+    m a_m - sum_k z_k a_(m-k) gives, for l >= 2,
+        -l(l+1) kappa D_{0,l} = (-1)^l z_(l+1)
+            - sum_{j<l-1} C(l+1, j) [(kappa-1)^e - (-1)^e - kappa^e] D_{0,j+1},
+    e = l + 1 - j, and everything is scaled by Q^(l+1) to stay in Z.
+
+    Degrees in kappa: the kappa part of L kills Lambda_n, so a_m and z_m
+    have degree at most m - 1, and since the kappa^e terms cancel in the
+    bracket, D_{0,l} has degree at most l - 1.  Rows are packed into one
+    int each, so each step of L^m is a short sum of ints.  Every unpacked
+    value is an entry of Q^m z_m(P/Q) (m < lmax) or of Q^(l-1) D_{0,l}(P/Q),
+    so at most _moment_bound(n, lmax) (|P| + Q)^(lmax - 1).
+    """
+    lmax = max(ls)
+    d = len(partitions_of(n))
+    rows = [[(col, c0 * Q + c1 * P) for col, c0, c1 in r] for r in _lax_rows(n)]
+    w = _slot_width(_moment_bound(n, lmax) * (abs(P) + Q) ** (lmax - 1))
+    X = [1 << (w * t) if t < d else 0 for t in range(len(rows))]
+    A = [X[:d]]
+    for m in range(1, lmax + 2):
+        top = d if m == lmax + 1 else len(rows)
+        X = [sum(c * X[col] for col, c in rows[t]) for t in range(top)]
+        A.append(X[:d])
+    # Z[m] packed, Zu[m] its entries; z_1 = a_1 = 0, so only k >= 2 and
+    # m - k >= 2 contribute to the sum, and Zu is read for m < lmax
+    Z, Zu = [None], [None]
+    for m in range(1, lmax + 2):
+        zm = [m * x for x in A[m]]
+        for k in range(2, m - 1):
+            Am = A[m - k]
+            for i, zrow in enumerate(Zu[k]):
+                zm[i] -= sum(c * Am[t] for t, c in enumerate(zrow) if c)
+        Z.append(zm)
+        Zu.append([_unpack_row(x, w, d) for x in zm] if m < lmax else None)
+    W = [None, [n << (w * t) for t in range(d)]]
+    for l in range(2, lmax + 1):
+        rhs = Z[l + 1] if l % 2 == 0 else [-x for x in Z[l + 1]]
+        for j in range(l - 1):
+            e = l + 1 - j
+            c = comb(l + 1, j) * ((P - Q) ** e - (-Q) ** e - P**e)
+            rhs = [x - c * y for x, y in zip(rhs, W[j + 1])]
+        den = -l * (l + 1) * P * Q
+        if any(x % den for x in rhs):
+            raise ArithmeticError("D_{0,%d} not integral at degree %d" % (l, n))
+        W.append([x // den for x in rhs])
+    return [[_unpack_row(x, w, d) for x in W[l]] for l in ls]
+
+
+def _unpack_row(x, w, d):
+    """The d slots of a packed row."""
+    out = _unpack(x, w)
+    return out + (0,) * (d - len(out))
 
 
 class SymmetricFunctions:
-    """The m<->p matrices, the pairing, the Laplace-Beltrami operator and
-    the Jack matrix, cached per degree for one field context."""
+    """The m<->p matrices, the pairing, the commuting operators and the
+    Jack matrix, cached per degree for one field context (the commuting
+    operators are not)."""
 
     def __init__(self, field):
         self.field = field
         self._p2m = {}
         self._m2p = {}
-        self._lb = {}
         self._jack = {}
-        self._jack_inv = {}
         self._norms = {}
         self._gram = {}
 
@@ -154,24 +243,26 @@ class SymmetricFunctions:
             ]
         return self._gram[n]
 
-    # -- the Laplace-Beltrami operator ---------------------------------------
+    # -- the commuting operators D_{0,l} ----------------------------------
 
-    def laplace_beltrami(self, n):
-        """The D_{0,2} block at degree n in p-coordinates:
-        -1/2 sum ij p_{i+j} d_i d_j - kappa/2 sum (i+j) p_i p_j d_{i+j}
-        + (kappa-1)/2 sum i(i-1) p_i d_i, with d_i = d/dp_i."""
-        if n not in self._lb:
-            field = self.field
-            fi = field.from_int
-            half = field.one / fi(2)
-            self._lb[n] = [
-                [
-                    (fi(c0) + field.kappa * fi(c1)) * half if c0 or c1 else field.zero
-                    for c0, c1 in row
-                ]
-                for row in _cut_and_join_int(n)
+    def commuting_blocks(self, n, ls):
+        """The blocks of D_{0,l} at degree n in p-coordinates, for each l
+        in ls, from the moments of the Lax operator: no Jack basis, and
+        one division per entry at the end.  Nothing is cached."""
+        field = self.field
+        zero = field.zero
+        if field.mode == "exact":
+            w = _slot_width(_moment_bound(n, max(ls)))
+            return [
+                [[field.from_poly(_unpack(x, w)) if x else zero for x in row]
+                 for row in mat]
+                for mat in _commuting_ints(n, ls, 1 << w, 1)
             ]
-        return self._lb[n]
+        P, Q = field.kappa.numerator, field.kappa.denominator
+        return [
+            [[Fraction(x, Q ** (l - 1)) if x else zero for x in row] for row in mat]
+            for l, mat in zip(ls, _commuting_ints(n, ls, P, Q))
+        ]
 
     # -- Jack basis --------------------------------------------------------
 
@@ -203,17 +294,6 @@ class SymmetricFunctions:
             self._norms[n] = norms
         return self._norms[n]
 
-    def jack_matrix_inv(self, n):
-        """C^-1 = diag(1/<J_lam,J_lam>) C^T diag(gram_diag(n)), from the
-        orthogonality of the Jack basis for the pairing."""
-        if n not in self._jack_inv:
-            g = self.gram_diag(n)
-            self._jack_inv[n] = [
-                [x * gi / norm for x, gi in zip(col, g)]
-                for col, norm in zip(zip(*self.jack_matrix(n)), self.jack_norms(n))
-            ]
-        return self._jack_inv[n]
-
     def _compute_jack(self, n):
         # raises where a hook factor of a norm vanishes at a specialized kappa
         self.jack_norms(n)
@@ -244,7 +324,7 @@ class SymmetricFunctions:
         k = len(parts)
         m2p = self.m_to_p(n)
         T = linalg.mat_mul(
-            linalg.mat_mul(self.p_to_m(n), self.laplace_beltrami(n), field),
+            linalg.mat_mul(self.p_to_m(n), self.commuting_blocks(n, [2])[0], field),
             m2p,
             field,
         )

@@ -7,7 +7,7 @@ from wsh import linalg
 from wsh.field import RationalFunctionField
 from wsh.multipoly import MultiPoly
 from wsh.operators import OpContext
-from wsh.partitions import partitions_of
+from wsh.partitions import add_part, content_power_sum, partitions_of
 from wsh.shuffle import ShuffleElem
 
 
@@ -158,7 +158,7 @@ def star_product_oracle(P, Q, kernel):
 
 def mat_inv_oracle(A, field):
     """Gauss-Jordan inverse over field elements.  The reference for
-    ``SymmetricFunctions.m_to_p`` and ``jack_matrix_inv``."""
+    ``SymmetricFunctions.m_to_p`` and ``jack_matrix_inv_oracle``."""
     n = len(A)
     zero, one = field.zero, field.one
     work = [list(row) + unit for row, unit in zip(A, linalg.identity(n, field))]
@@ -176,12 +176,65 @@ def mat_inv_oracle(A, field):
     return [row[n:] for row in work]
 
 
+def jack_matrix_inv_oracle(sym, n):
+    """C^-1 = diag(1/<J_lam,J_lam>) C^T diag(gram_diag(n)) for the Jack
+    matrix C at degree n, from the orthogonality of the Jack basis."""
+    g = sym.gram_diag(n)
+    return [
+        [x * gi / norm for x, gi in zip(col, g)]
+        for col, norm in zip(zip(*sym.jack_matrix(n)), sym.jack_norms(n))
+    ]
+
+
 def jack_conjugate_oracle(ctx, op, n):
     """C^-1·B·C for the rank-0 block B of ``op`` at degree n and the Jack
     matrix C.  The reference for ``OpContext.jack_eigenvalues``."""
     F = ctx.field
     C = ctx.sym.jack_matrix(n)
-    return mat_mul_oracle(ctx.sym.jack_matrix_inv(n), mat_mul_oracle(op.block(n), C, F), F)
+    Cinv = jack_matrix_inv_oracle(ctx.sym, n)
+    return mat_mul_oracle(Cinv, mat_mul_oracle(op.block(n), C, F), F)
+
+
+def sekiguchi_conjugation_oracle(sym, l, n, eigs=None):
+    """C·diag(eigs)·C^-1 at degree n, C the Jack matrix and eigs the
+    content power sums of exponent l-1 unless given.  The reference for
+    ``OpContext.sekiguchi`` at N <= 6 and specialized kappa."""
+    F = sym.field
+    if eigs is None:
+        eigs = [content_power_sum(lam, l, F) for lam in partitions_of(n)]
+    mid = [[c * e for c, e in zip(row, eigs)] for row in sym.jack_matrix(n)]
+    return mat_mul_oracle(mid, jack_matrix_inv_oracle(sym, n), F)
+
+
+def laplace_beltrami_oracle(field, n):
+    """The D_{0,2} block at degree n from the closed-form cut-and-join
+    operator -1/2 sum ij p_{i+j} d_i d_j - kappa/2 sum (i+j) p_i p_j d_{i+j}
+    + (kappa-1)/2 sum i(i-1) p_i d_i, with d_i = d/dp_i.  On p_lam: joining
+    parts r and s (each pair of positions) gives -rs, cutting a part r
+    into (i, r-i), i = 1..r-1, gives -r kappa/2 each, and every part r
+    gives r(r-1)(kappa-1)/2 on the diagonal.  The reference for
+    ``sekiguchi(2)``."""
+    parts = partitions_of(n)
+    index = {lam: i for i, lam in enumerate(parts)}
+    twice = [[(0, 0)] * len(parts) for _ in parts]
+
+    def put(mu, j, c0, c1):
+        i = index[mu]
+        a, b = twice[i][j]
+        twice[i][j] = (a + c0, b + c1)
+
+    for j, lam in enumerate(parts):
+        diag = sum(r * (r - 1) for r in lam)
+        put(lam, j, -diag, diag)
+        for a, r in enumerate(lam):
+            rest = lam[:a] + lam[a + 1 :]
+            for b in range(a, len(rest)):
+                s = rest[b]
+                put(add_part(rest[:b] + rest[b + 1 :], r + s), j, -2 * r * s, 0)
+            for i in range(1, r):
+                put(add_part(add_part(rest, i), r - i), j, 0, -r)
+    fi, half = field.from_int, field.one / field.from_int(2)
+    return [[(fi(c0) + field.kappa * fi(c1)) * half for c0, c1 in row] for row in twice]
 
 
 def fraction_rank_oracle(rows) -> int:

@@ -144,11 +144,14 @@ def test_unknown_suite_rejected(capsys):
         ("verify", "positive", "--max-degree", "4", "--specialize=-1"),
         ("eseries", "--specialize", "1"),
         ("verify", "fock", "--max-degree", "5", "--specialize", "1"),
+        ("verify", "fock", "--max-degree", "4", "--specialize=-1"),
     ],
 )
 def test_pole_of_kappa_is_a_usage_error(capsys, argv):
-    # kappa = -1 makes a hook factor of the Jack norm vanish; kappa = 1
-    # makes the central series' divisor xi = kappa - 1 vanish
+    # kappa = -1 makes a hook factor of the Jack norm vanish (the jack
+    # command, the spectrum checks of verify positive and the Fock
+    # eigenvalues read the Jack basis); kappa = 1 makes the central
+    # series' divisor xi = kappa - 1 vanish
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -156,6 +159,18 @@ def test_pole_of_kappa_is_a_usage_error(capsys, argv):
     assert "Traceback" not in err
     if argv[-1] == "1":
         assert "kappa = 1 " in err
+
+
+def test_presentation_at_a_pole_of_the_jack_basis_passes(capsys):
+    # the presentation suite reads no Jack basis: its D_{0,l} come from the
+    # Lax moments, whose only divisor is l(l+1) kappa
+    code, out, err = run(
+        capsys, "verify", "presentation", "--max-degree", "6", "--specialize=-1"
+    )
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["status"] == "pass"
+    assert doc["config"]["mode"] == "specialized(-1)"
 
 
 def test_jobs_flag_is_gone(capsys):

@@ -3,7 +3,13 @@
 from fractions import Fraction
 
 import pytest
-from conftest import column, jack_matrix_oracle, mat_inv_oracle, mat_mul_oracle
+from conftest import (
+    column,
+    jack_matrix_oracle,
+    mat_inv_oracle,
+    mat_mul_oracle,
+    sekiguchi_conjugation_oracle,
+)
 
 from wsh import linalg
 from wsh.checks import zero_check
@@ -11,6 +17,7 @@ from wsh.field import SpecializedField
 from wsh.operators import OpContext, WindowError, ad
 from wsh.partitions import add_part, content_power_sum, partitions_of
 from wsh.report import _spectrum_checks
+from wsh.symfunc import SymmetricFunctions
 
 
 def test_multiplication_acts_on_power_sums(ctx6):
@@ -33,19 +40,23 @@ def test_sekiguchi_diagonal_on_jack(ctx6):
                 assert e == content_power_sum(lam, l, F)
 
 
-@pytest.mark.parametrize("kappa", [None, Fraction(9, 4)])
+@pytest.mark.parametrize(
+    "kappa", [None, Fraction(9, 4), Fraction(7, 3), Fraction(9973, 577)]
+)
 def test_sekiguchi_matches_entrywise_conjugation(field, kappa):
-    # C diag C^-1 with the entrywise product and Gauss-Jordan inverse
+    # the Lax-moment blocks of D_{0,l}, l <= 9, built one index at a time,
+    # against C diag C^-1 with the entrywise product and Gauss-Jordan
+    # inverse; N = 6 exact, N = 8 specialized
     F = field if kappa is None else SpecializedField(kappa)
-    ctx = OpContext(F, 5)
-    for l in (1, 2, 3, 4):
-        op = ctx.sekiguchi(l)
-        for n in range(ctx.N + 1):
-            C = ctx.sym.jack_matrix(n)
+    ctx = OpContext(F, 6 if kappa is None else 8)
+    ops = [ctx.sekiguchi(l) for l in range(1, 10)]
+    for n in range(ctx.N + 1):
+        C = ctx.sym.jack_matrix(n)
+        Cinv = mat_inv_oracle(C, F)
+        for l, op in enumerate(ops, 1):
             eigs = [content_power_sum(lam, l, F) for lam in partitions_of(n)]
             mid = [[c * e for c, e in zip(row, eigs)] for row in C]
-            want = mat_mul_oracle(mid, mat_inv_oracle(C, F), F)
-            assert op.block(n) == want
+            assert op.block(n) == mat_mul_oracle(mid, Cinv, F)
 
 
 @pytest.mark.parametrize("kappa", [None, Fraction(7, 3)])
@@ -63,6 +74,22 @@ def test_closed_form_sekiguchi_equals_jack_conjugation(field, kappa):
             assert ctx.sekiguchi(l).block(n) == mat_mul_oracle(mid, Cinv, F)
 
 
+def test_sekiguchi_builds_without_a_jack_basis(field, ctx6, monkeypatch):
+    # no Jack basis enters the operator build: with the Jack build made to
+    # raise, every D_{0,l}, l <= 9, still builds; building l = 4..9 at once
+    # gives the blocks built one index at a time and keeps the cached ones
+    def no_jack(self, n):
+        raise AssertionError("Jack basis built at degree %d" % n)
+
+    monkeypatch.setattr(SymmetricFunctions, "_compute_jack", no_jack)
+    ctx = OpContext(field, 6)
+    low = [ctx.sekiguchi(l) for l in (1, 2, 3)]
+    ctx.sekiguchi(9)
+    assert all(ctx.sekiguchi(l) is op for l, op in zip((1, 2, 3), low))
+    for l in range(1, 10):
+        assert ctx.sekiguchi(l).blocks == ctx6.sekiguchi(l).blocks
+
+
 @pytest.mark.parametrize(
     "l, wrong",
     [(l, [(2, 1)]) for l in (1, 2, 3, 4)]
@@ -77,10 +104,7 @@ def test_spectrum_check_names_a_wrong_eigenvalue(field, l, wrong):
             content_power_sum(lam, l, field) + (field.one if lam in wrong else 0)
             for lam in partitions_of(n)
         ]
-        C = ctx.sym.jack_matrix(n)
-        mid = [[c * e for c, e in zip(row, eigs)] for row in C]
-        Cinv = ctx.sym.jack_matrix_inv(n)
-        ctx.sekiguchi(l).blocks[n] = mat_mul_oracle(mid, Cinv, field)
+        ctx.sekiguchi(l).blocks[n] = sekiguchi_conjugation_oracle(ctx.sym, l, n, eigs)
     outcomes = {o.id: o for o in (run() for run in _spectrum_checks(ctx))}
     assert sorted(outcomes) == ["spectrum(%d)" % m for m in (1, 2, 3, 4)]
     bad = outcomes.pop("spectrum(%d)" % l)
