@@ -17,10 +17,6 @@ class CheckOutcome:
     detail: str = ""
     failing_block: int = None
 
-    @property
-    def ok(self):
-        return self.status != "fail"
-
     def as_dict(self):
         d = {"id": self.id, "window": list(self.window), "status": self.status}
         if self.detail:

@@ -27,6 +27,14 @@ from .report import (
 from .shc import GCONVENTIONS
 
 
+def _rational(text):
+    """A Fraction from a flag's text; a zero denominator is a usage error."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError("invalid rational value: %r" % text) from None
+
+
 # every flag a command may take, keyed by the Config field it sets
 _FLAGS = {
     "N": ("--max-degree", dict(
@@ -45,7 +53,7 @@ _FLAGS = {
         help="number of central-series coefficients (default 6)",
     )),
     "specialize": ("--specialize", dict(
-        type=Fraction, default=None, metavar="RATIONAL",
+        type=_rational, default=None, metavar="RATIONAL",
         help="evaluate the parameter at a rational (e.g. 7/3) instead of "
         "exact rational-function arithmetic",
     )),

@@ -7,7 +7,9 @@ the denominator has positive leading coefficient, so equality is structural.
 A "field context" object bundles the distinguished element kappa with
 element constructors.  Two contexts are provided: the exact field Q(kappa)
 and a specialization kappa -> rational, whose elements are plain Fractions.
-All higher layers are generic over the context.
+Higher layers compute with the context's elements; the fraction-free
+kernels of linalg, multipoly, shuffle and symfunc also branch on
+``field.mode``, to clear denominators into Z[kappa] or into the integers.
 """
 
 from __future__ import annotations
@@ -225,9 +227,6 @@ class RationalFunctionField:
         """Element from an integer kappa-polynomial (coefficient tuple)."""
         return FieldElem(tuple(p), _ONE, _reduced=True)
 
-    def to_str(self, x):
-        return str(x)
-
 
 class SpecializedField:
     """Specialized mode: kappa evaluated at a fixed rational, elements are
@@ -247,9 +246,3 @@ class SpecializedField:
 
     def from_fraction(self, q):
         return Fraction(q)
-
-    def from_poly(self, p):
-        return _eval_poly(tuple(p), self.kappa)
-
-    def to_str(self, x):
-        return str(x)

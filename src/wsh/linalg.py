@@ -285,11 +285,9 @@ class SpanBasis:
 
 def rank_of_vectors(vectors, field) -> int:
     basis = SpanBasis(field)
-    n = 0
     for v in vectors:
-        if basis.add(v):
-            n += 1
-    return n
+        basis.add(v)
+    return basis.dim
 
 
 def kernel_of_vectors(vectors, field):

@@ -259,17 +259,6 @@ class MultiPoly:
             out = out + MultiPoly(self.nvars, {tuple(ne): coeff}, self.field)
         return out
 
-    def evaluate(self, point):
-        """Full evaluation at a list of field elements."""
-        acc = self.field.zero
-        for e, c in self.terms.items():
-            v = c
-            for i, ei in enumerate(e):
-                if ei:
-                    v = v * point[i] ** ei
-            acc = acc + v
-        return acc
-
     def is_symmetric(self):
         for i in range(self.nvars - 1):
             perm = list(range(self.nvars))
@@ -356,11 +345,10 @@ class MultiPoly:
                 for i, k in enumerate(e)
                 if k
             )
-            cs = self.field.to_str(c)
             if mono:
-                parts.append("(%s)*%s" % (cs, mono))
+                parts.append("(%s)*%s" % (c, mono))
             else:
-                parts.append("(%s)" % cs)
+                parts.append("(%s)" % c)
         return " + ".join(parts)
 
     def __repr__(self):

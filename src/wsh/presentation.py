@@ -66,9 +66,6 @@ class FreeAlgebra:
     def zero(self) -> "FreeElement":
         return FreeElement(self, {})
 
-    def one(self) -> "FreeElement":
-        return FreeElement(self, {(): self.field.one})
-
     def _letter(self, kind, idx, lo, hi) -> "FreeElement":
         if idx < lo or (hi is not None and idx > hi):
             raise ValueError("%s index %d outside [%d, %s]" % (kind, idx, lo, hi))
@@ -224,11 +221,10 @@ class FreeElement:
     def __repr__(self):
         if not self.terms:
             return "FreeElement(0)"
-        f = self.algebra.field
         bits = []
         for w in sorted(self.terms, key=_word_key):
             name = " ".join("%s[%d]" % letter for letter in w) or "1"
-            bits.append("(%s)*%s" % (f.to_str(self.terms[w]), name))
+            bits.append("(%s)*%s" % (self.terms[w], name))
         return "FreeElement(%s)" % " + ".join(bits)
 
     # -- normal ordering -----------------------------------------------------
@@ -269,15 +265,6 @@ class FreeElement:
         return FreeElement(alg, out)
 
     # -- evaluation ----------------------------------------------------------
-
-    def rank(self):
-        """Common rank (t1-letter count) of all words; None for zero."""
-        ranks = {sum(1 for x in w if x[0] == T1) for w in self.terms}
-        if not ranks:
-            return None
-        if len(ranks) > 1:
-            raise ValueError("element is not rank-homogeneous")
-        return ranks.pop()
 
     def evaluate(self, opctx):
         """Image under the evaluation homomorphism onto the graded
@@ -409,11 +396,12 @@ class PresentationContext:
         """Kernel of the evaluation map on two-letter t1 words versus the
         span of the in-bounds rank-2 relation elements.
 
-        The relation span is echelonized exactly in pair coordinates; each
-        relation is verified exactly to evaluate to zero (span contained in
-        kernel); the kernel dimension is then pinned by a rank certificate
-        at rational specialization points (specialized rank is a lower
-        bound for the exact rank, so matching dimensions force equality).
+        The relation span is echelonized exactly in pair coordinates;
+        OpContext.word_kernel_bound verifies exactly that each relation
+        evaluates to zero (span contained in kernel) and bounds the kernel
+        dimension by a rank certificate at rational specialization points
+        (specialized rank is a lower bound for the exact rank, so matching
+        dimensions force equality).
         """
         alg = self.algebra
         K = alg.K
@@ -427,11 +415,7 @@ class PresentationContext:
             basis.add(self._pair_vector(el, pair_index))
         dim_b = basis.dim
 
-        included = all(el.evaluate(self.opctx).is_zero() for el in rels)
-        ovecs = [self.opctx.realize.word(t1_word(*p)).flatten() for p in pairs]
-        # with the relations in the kernel, the rank is at most this cap
-        cap = len(pairs) - dim_b if included else None
-        dim_a_upper = len(pairs) - linalg.certified_rank_bound(ovecs, cap)
+        included, dim_a_upper = self.opctx.word_kernel_bound(pairs, rels, dim_b)
         dims_equal = included and dim_a_upper == dim_b
 
         window = (0, self.opctx.N)

@@ -33,9 +33,9 @@ from __future__ import annotations
 
 from math import comb
 
-from .checks import CheckOutcome, zero_check
+from .checks import CheckOutcome
 from .multipoly import MultiPoly
-from .operators import GradedOp, WindowError
+from .operators import GradedOp, WindowError, zero_or_skip
 from .partitions import content_power_sum, partitions_of
 from .series import TruncSeries, series_exp
 
@@ -93,9 +93,6 @@ class CentralRing:
 
     def d(self, j) -> MultiPoly:
         return MultiPoly.variable(self.d_index(j), self.nvars, self.field)
-
-    def omega(self) -> MultiPoly:
-        return MultiPoly.variable(self.omega_index, self.nvars, self.field)
 
 
 # ----------------------------------------------------------------------
@@ -178,7 +175,7 @@ class ESeries:
                 for i, k in enumerate(e)
                 if k
             ) or "1"
-            out[mono] = self.ring.field.to_str(poly.terms[e])
+            out[mono] = str(poly.terms[e])
         return out
 
 
@@ -255,14 +252,11 @@ class ShcContext:
         self.field = opctx.field
         self._eops = {}
 
-    def lowering(self, k) -> GradedOp:
-        return self.opctx.lowering(k)
-
     def e_operator(self, k, l) -> GradedOp:
         """[lowering k, raising l]: rank 0; the vacuum block is the pure
         product (the reversed order annihilates the vacuum)."""
         if (k, l) not in self._eops:
-            down, up = self.lowering(k), self.opctx.d1(l)
+            down, up = self.opctx.lowering(k), self.opctx.d1(l)
             a = down.compose(up)
             b = up.compose(down)
             blocks = {0: a.blocks[0]} if 0 in a.blocks else {}
@@ -279,6 +273,7 @@ class ShcContext:
     def negative_cross_checks(self, L, K) -> list:
         """[lowering k, degree-zero l] = lowering k+l-1 on windows: the
         negative image of the cross relation (l, k)."""
+        neg = self.opctx.realize_negative
         alg = self.opctx.free
         out = []
         for l in range(1, L + 1):
@@ -286,12 +281,7 @@ class ShcContext:
                 if not 0 <= k + l - 1 <= K:
                     continue
                 cid = "neg_cross(%d,%d)" % (k, l)
-                try:
-                    op = self.opctx.realize_negative(alg.cross_relation(l, k))
-                except WindowError as e:
-                    out.append(CheckOutcome(cid, (0, -1), "skipped", str(e)))
-                    continue
-                out.append(zero_check(cid, op))
+                out.append(zero_or_skip(cid, lambda: neg(alg.cross_relation(l, k))))
         return out
 
     def split_independence_checks(self, hmax) -> list:
@@ -310,13 +300,10 @@ class ShcContext:
                     "pass" if same else "fail",
                 )
             )
-            diagonal = True
-            for n in sorted(ref.blocks):
-                try:
-                    self.opctx.jack_eigenvalues(ref, n)
-                except ArithmeticError:
-                    diagonal = False
-                    break
+            diagonal = all(
+                None not in self.opctx.jack_eigenvalues(ref, n)
+                for n in sorted(ref.blocks)
+            )
             out.append(
                 CheckOutcome(
                     "e_jack_diagonal(%d)" % h,
@@ -361,8 +348,10 @@ class ShcContext:
         Jack function of lam."""
         n = sum(lam)
         op = self.e_operator(0, h)
-        eigs = self.opctx.jack_eigenvalues(op, n)
-        return eigs[partitions_of(n).index(lam)]
+        eig = self.opctx.jack_eigenvalues(op, n)[partitions_of(n).index(lam)]
+        if eig is None:
+            raise ArithmeticError("operator not diagonal in Jack basis")
+        return eig
 
     def _predicted(self, eser: ESeries, h, lam, fitted):
         """E_h with d_j evaluated at lam and known central values
@@ -447,7 +436,7 @@ class ShcContext:
                         None,
                     )
         detail = "fitted " + ", ".join(
-            "c_%d = %s" % (h, self.field.to_str(fitted[h]))
+            "c_%d = %s" % (h, fitted[h])
             for h in sorted(fitted)
         )
         return CheckOutcome(cid, window, "pass", detail=detail), fitted

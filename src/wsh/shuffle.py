@@ -212,10 +212,6 @@ class ShuffleContext:
             lambda: ShuffleElem.unit(field),
         )
 
-    def gen_product(self, k, l) -> ShuffleElem:
-        """z^k * z^l, cached."""
-        return self.realize.word(t1_word(k, l))
-
     # -- checks ------------------------------------------------------------
 
     def kernel_expansion_check(self) -> CheckOutcome:
@@ -234,7 +230,7 @@ class ShuffleContext:
     def square_of_unit_degree_check(self) -> CheckOutcome:
         """z^0 * z^0 = 2(z1 - z2)^2 - 2(kappa^2 - kappa + 1)."""
         f = self.field
-        got = self.gen_product(0, 0)
+        got = self.realize.word(t1_word(0, 0))
         u = _difference(0, 1, 2, f)
         want = u * u * f.from_int(2) - MultiPoly.constant(
             (f.kappa * f.kappa - f.kappa + f.one) * f.from_int(2), 2, f
@@ -313,45 +309,36 @@ class ShuffleContext:
         """Kernel of the rank-2 shuffle multiplication map versus the kernel
         of the corresponding operator map, plus the divisibility witness.
 
-        The shuffle kernel is computed exactly; each kernel vector is then
-        verified exactly to annihilate the operator products (inclusion),
-        and the operator-side kernel dimension is pinned down by a rank
-        certificate at rational kappa points (rank can only drop under
-        specialization, so the bound plus the inclusion give equality).
+        The shuffle kernel is computed exactly; OpContext.word_kernel_bound
+        verifies exactly that each kernel vector annihilates the operator
+        products (inclusion) and bounds the operator-side kernel dimension
+        by a rank certificate at rational kappa points (rank can only drop
+        under specialization, so the bound plus the inclusion give
+        equality).
         """
         f = self.field
         pairs = [(k, l) for k in range(K + 1) for l in range(K + 1)]
         svecs = self._word_vectors([t1_word(*p) for p in pairs])
         _, skernel = linalg.kernel_of_vectors(svecs, f)
-        out = []
-        # exact inclusion: shuffle kernel annihilates the operator products
-        included = all(
-            opctx.realize(
-                FreeElement(self.free, {t1_word(*p): c for p, c in zip(pairs, v)})
-            ).is_zero()
+        elements = [
+            FreeElement(self.free, {t1_word(*p): c for p, c in zip(pairs, v)})
             for v in skernel
-        )
-        out.append(
+        ]
+        included, okernel = opctx.word_kernel_bound(pairs, elements, len(skernel))
+        out = [
             CheckOutcome(
                 "shuffle_rank2_kernel_inclusion(K=%d)" % K,
                 (0, K),
                 "pass" if included else "fail",
-            )
-        )
-        # dimension certificate for the operator kernel
-        ovecs = [opctx.realize.word(t1_word(*p)).flatten() for p in pairs]
-        want_rank = len(pairs) - len(skernel)
-        lb = linalg.certified_rank_bound(ovecs, want_rank if included else None)
-        dims_ok = included and lb == want_rank
-        out.append(
+            ),
             CheckOutcome(
                 "shuffle_rank2_kernel_dims(K=%d)" % K,
                 (0, K),
-                "pass" if dims_ok else "fail",
+                "pass" if included and okernel == len(skernel) else "fail",
                 detail="shuffle kernel %d, certified operator kernel %d"
-                % (len(skernel), len(pairs) - lb),
-            )
-        )
+                % (len(skernel), okernel),
+            ),
+        ]
         # divisibility witness: each kernel vector, read as sum a_kl z1^k z2^l,
         # is divisible by h(z2 - z1) with symmetric quotient
         hrev = self.kernel.h_of(_difference(1, 0, 2, f))

@@ -23,7 +23,8 @@ Adv. Math. 77 (1989), Thm 3.1), so J_lambda is its eigenvector m_lambda +
 (dominated terms), found by one back-substitution down the lex order,
 then scaled so the coefficient of m_(1^n) equals n!.  Its norm under
 <p_lam, p_mu> = delta * z_lam * alpha^len (alpha = 1/kappa) is a hook
-product (Macdonald, Symmetric Functions, VI (10.16)).
+product (Macdonald, Symmetric Functions, VI (10.16)); the build refuses a
+specialized kappa where a factor of it vanishes.
 """
 
 from __future__ import annotations
@@ -216,7 +217,6 @@ class SymmetricFunctions:
         self._p2m = {}
         self._m2p = {}
         self._jack = {}
-        self._norms = {}
         self._gram = {}
 
     # -- transition matrices ---------------------------------------------
@@ -272,31 +272,24 @@ class SymmetricFunctions:
             self._jack[n] = self._compute_jack(n)
         return self._jack[n]
 
-    def jack_norms(self, n):
-        """<J_lam, J_lam> for lam in partitions_of(n): the product over
-        boxes s of (alpha a(s) + l(s) + 1)(alpha a(s) + l(s) + alpha), with
-        arm a, leg l and alpha = 1/kappa.  Raises where a factor vanishes,
-        which only a specialized kappa can make happen."""
-        if n not in self._norms:
-            field = self.field
-            alpha = field.one / field.kappa
-            norms = []
-            for lam in partitions_of(n):
-                norm = field.one
-                for x, y in boxes(lam):
-                    arm = lam[y] - x - 1
-                    leg = sum(1 for r in lam[y + 1 :] if r > x)
-                    for f in (alpha * arm + leg + 1, alpha * arm + leg + alpha):
-                        if f == field.zero:
-                            raise ArithmeticError(_DEGENERATE % field.kappa)
-                        norm = norm * f
-                norms.append(norm)
-            self._norms[n] = norms
-        return self._norms[n]
+    def _check_hooks(self, n):
+        """Raise where a factor of the norm <J_lam, J_lam>, lam a partition
+        of n, vanishes: the norm is the product over boxes s of
+        (alpha a(s) + l(s) + 1)(alpha a(s) + l(s) + alpha), with arm a, leg
+        l and alpha = 1/kappa, and only a specialized kappa can make a
+        factor vanish."""
+        field = self.field
+        alpha = field.one / field.kappa
+        for lam in partitions_of(n):
+            for x, y in boxes(lam):
+                arm = lam[y] - x - 1
+                leg = sum(1 for r in lam[y + 1 :] if r > x)
+                for f in (alpha * arm + leg + 1, alpha * arm + leg + alpha):
+                    if f == field.zero:
+                        raise ArithmeticError(_DEGENERATE % field.kappa)
 
     def _compute_jack(self, n):
-        # raises where a hook factor of a norm vanishes at a specialized kappa
-        self.jack_norms(n)
+        self._check_hooks(n)
         try:
             return self._triangular_eigenvectors(n)
         except _Degenerate:

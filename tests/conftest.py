@@ -7,7 +7,7 @@ from wsh import linalg
 from wsh.field import RationalFunctionField
 from wsh.multipoly import MultiPoly
 from wsh.operators import OpContext
-from wsh.partitions import add_part, content_power_sum, partitions_of
+from wsh.partitions import add_part, boxes, content_power_sum, partitions_of
 from wsh.shuffle import ShuffleElem
 
 
@@ -176,13 +176,30 @@ def mat_inv_oracle(A, field):
     return [row[n:] for row in work]
 
 
+def jack_norms_oracle(sym, n):
+    """<J_lam, J_lam> for lam in partitions_of(n): the product over boxes
+    s of (alpha a(s) + l(s) + 1)(alpha a(s) + l(s) + alpha), with arm a,
+    leg l and alpha = 1/kappa (Macdonald, VI (10.16))."""
+    field = sym.field
+    alpha = field.one / field.kappa
+    norms = []
+    for lam in partitions_of(n):
+        norm = field.one
+        for x, y in boxes(lam):
+            arm = lam[y] - x - 1
+            leg = sum(1 for r in lam[y + 1 :] if r > x)
+            norm = norm * (alpha * arm + leg + 1) * (alpha * arm + leg + alpha)
+        norms.append(norm)
+    return norms
+
+
 def jack_matrix_inv_oracle(sym, n):
     """C^-1 = diag(1/<J_lam,J_lam>) C^T diag(gram_diag(n)) for the Jack
     matrix C at degree n, from the orthogonality of the Jack basis."""
     g = sym.gram_diag(n)
     return [
         [x * gi / norm for x, gi in zip(col, g)]
-        for col, norm in zip(zip(*sym.jack_matrix(n)), sym.jack_norms(n))
+        for col, norm in zip(zip(*sym.jack_matrix(n)), jack_norms_oracle(sym, n))
     ]
 
 

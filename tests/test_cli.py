@@ -213,3 +213,31 @@ def test_fock_fit_below_its_test_partitions_is_skipped(capsys, n):
     assert fit["status"] == "skipped"
     assert fit["detail"] == "degree %d outside operator window" % n
     assert not any(cid.startswith("fock_fit(") for cid in checks)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("jack", "3", "--specialize", "1/0"),
+        ("verify", "positive", "--specialize", "1/0"),
+    ],
+)
+def test_zero_denominator_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "argument --specialize: invalid rational value: '1/0'" in err
+
+
+def test_a_skipped_relation_check_has_its_pass_id(capsys):
+    # at --max-degree 3 some kl_identity and recursion checks are skipped;
+    # they keep the ids they pass under at --max-degree 6
+    checks = {}
+    for n in (3, 6):
+        _, out, _ = run(capsys, "verify", "positive", "--max-degree", str(n))
+        checks[n] = json.loads(out)["checks"]
+    assert sorted(c["id"] for c in checks[3]) == sorted(c["id"] for c in checks[6])
+    skipped = {c["id"] for c in checks[3] if c["status"] == "skipped"}
+    assert {"kl_identity(1,3)", "recursion(5)"} <= skipped

@@ -75,8 +75,6 @@ def test_specialized_field_agrees_with_evaluation(F):
     exact = (k**3 - k + 2) / (k + 5)
     spec = (S.kappa**3 - S.kappa + 2) / (S.kappa + 5)
     assert exact.evaluate(Fraction(7, 3)) == spec
-    x = Fraction(7, 3)
-    assert S.from_poly((2, -1, 0, 1)) == 2 - x + x**3
 
 
 def test_specialized_rejects_zero():

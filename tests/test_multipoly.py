@@ -81,12 +81,6 @@ def test_extend_and_substitute():
     assert evaluated == MultiPoly.constant(F.from_int(9), 3, F)
 
 
-def test_evaluate():
-    x, y = var(0), var(1)
-    p = x * y + y**2
-    assert p.evaluate([F.from_int(2), F.kappa]) == F.kappa * 2 + F.kappa**2
-
-
 def test_divexact_roundtrip():
     x, y = var(0), var(1)
     a = x**2 - y**2 + x * y + 1

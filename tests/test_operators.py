@@ -11,10 +11,9 @@ from conftest import (
     sekiguchi_conjugation_oracle,
 )
 
-from wsh import linalg
 from wsh.checks import zero_check
 from wsh.field import SpecializedField
-from wsh.operators import OpContext, WindowError, ad
+from wsh.operators import OpContext, WindowError
 from wsh.partitions import add_part, content_power_sum, partitions_of
 from wsh.report import _spectrum_checks
 from wsh.symfunc import SymmetricFunctions
@@ -199,8 +198,16 @@ def test_ad_nested(ctx6):
     # [D_{1,1}, [D_{1,1}, D_{1,0}]] = [D_{1,1}, D_{2,0}] = 2 D_{3,0} ... via
     # the recursion (l-1) D_{l,0} = [D_{1,1}, D_{l-1,0}]
     two = ctx6.field.from_int(2)
-    lhs = ad(ctx6.d1(1), ad(ctx6.d1(1), ctx6.drd(1, 0)))
+    d11 = ctx6.d1(1)
+    lhs = d11.commutator(d11.commutator(ctx6.drd(1, 0)))
     assert lhs == ctx6.drd(3, 0).scale(two)
+
+
+def test_rank_one_generators_are_the_derived_generators(field):
+    # D_{1,k} is built once: d1(k) is the drd(1, k) object itself
+    ctx = OpContext(field, 6)
+    for k in range(4):
+        assert ctx.d1(k) is ctx.drd(1, k)
 
 
 def test_leading_term_and_graded_dims(ctx6):

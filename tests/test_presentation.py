@@ -76,12 +76,6 @@ def test_index_overflow_message(A):
         (A.t0(5) * A.t1(4) * A.t1(4)).normal_order()
 
 
-def test_rank_counts_t1_letters(A):
-    assert (A.t1(0) * A.t1(2)).rank() == 2
-    assert A.t0(2).rank() == 0
-    assert A.one().rank() == 0
-
-
 def test_evaluation_sends_t1_0_to_p1(A, ctx6):
     op = A.t1(0).evaluate(ctx6)
     assert column(op, ()) == {(1,): ctx6.field.one}
