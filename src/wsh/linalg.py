@@ -7,7 +7,7 @@ Two layers:
 * one fraction-free echelon form ("SpanBasis") that clears denominators
   and eliminates on primitive rows in the ring the cleared entries lie
   in: integer kappa-polynomials (coefficient tuples) in exact mode, plain
-  ints when kappa is specialized.  Rank, membership, kernels and the rank
+  ints when kappa is specialized.  Rank, membership and the rank
   certificates at rational kappa points all go through it.
 """
 
@@ -234,11 +234,9 @@ class SpanBasis:
     are primitive int rows when kappa is specialized and primitive integer
     kappa-polynomial rows otherwise."""
 
-    def __init__(self, field, pivot_limit=None):
+    def __init__(self, field):
         self.field = field
         self.rows = []  # (pivot_col, row), sorted by pivot_col
-        # pivots are only sought in columns < pivot_limit (for kernels)
-        self.pivot_limit = pivot_limit
         self._eliminate = (
             _int_row_eliminate if field.mode == "specialized" else _row_eliminate
         )
@@ -253,24 +251,13 @@ class SpanBasis:
                 row = self._eliminate(row, b, piv)
         return row
 
-    def _pivot_of(self, row):
-        limit = self.pivot_limit if self.pivot_limit is not None else len(row)
-        for j in range(limit):
-            if row[j]:
-                return j
-        return None
-
-    def reduce(self, vec):
-        """Reduce a field-element vector; returns the residual row."""
-        return self._reduce_row(clear_denominators(vec, self.field))
-
     def add(self, vec) -> bool:
         """Insert a vector; True when it enlarges the span."""
         return self.add_row(clear_denominators(vec, self.field))
 
     def add_row(self, row) -> bool:
         row = self._reduce_row(row)
-        piv = self._pivot_of(row)
+        piv = next((j for j, p in enumerate(row) if p), None)
         if piv is None:
             return False
         self.rows.append((piv, row))
@@ -278,9 +265,7 @@ class SpanBasis:
         return True
 
     def contains(self, vec) -> bool:
-        row = self.reduce(vec)
-        limit = self.pivot_limit if self.pivot_limit is not None else len(row)
-        return all(not p for p in row[:limit])
+        return not any(self._reduce_row(clear_denominators(vec, self.field)))
 
 
 def rank_of_vectors(vectors, field) -> int:
@@ -288,44 +273,6 @@ def rank_of_vectors(vectors, field) -> int:
     for v in vectors:
         basis.add(v)
     return basis.dim
-
-
-def kernel_of_vectors(vectors, field):
-    """Left kernel of the list: coefficient vectors a with sum a_i v_i = 0.
-
-    Returns (rank, kernel) where kernel is a list of field-element
-    coefficient vectors (one per dependency, echelonized).
-    """
-    if not vectors:
-        return 0, []
-    m = len(vectors[0])
-    k = len(vectors)
-    basis = SpanBasis(field, pivot_limit=m)
-    # zero and one of the row ring, and its map into the field
-    if field.mode == "specialized":
-        zero, one, to_field = 0, 1, field.from_int
-    else:
-        zero, one, to_field = (), (1,), field.from_poly
-    kernel = []
-    rank = 0
-    scales = []  # cleared_row = scale * original vector, per row
-    for i, v in enumerate(vectors):
-        v = list(v)
-        row = clear_denominators(v, field)
-        j = next((j for j, p in enumerate(row) if p), None)
-        scales.append(field.one if j is None else to_field(row[j]) / v[j])
-        aug = [zero] * k
-        aug[i] = one
-        if basis.add_row(row + aug):
-            rank += 1
-        else:
-            # vector part vanished; the tail records the dependency on the
-            # cleared rows -- rescale back to the original vectors
-            red = basis._reduce_row(row + aug)
-            coeffs = [to_field(p) * s for p, s in zip(red[m:], scales)]
-            coeffs += [field.zero] * (k - len(coeffs))
-            kernel.append(coeffs)
-    return rank, kernel
 
 
 # ----------------------------------------------------------------------

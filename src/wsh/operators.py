@@ -17,7 +17,7 @@ from __future__ import annotations
 from . import linalg
 from .checks import CheckOutcome, zero_check
 from .partitions import add_part, partitions_of
-from .presentation import T0, T1, FreeAlgebra, Realization, t1_word
+from .presentation import T0, T1, FreeAlgebra, Realization
 from .symfunc import SymmetricFunctions
 
 
@@ -127,6 +127,11 @@ class GradedOp:
                 out.extend(row)
         return out
 
+    @staticmethod
+    def coordinates(ops):
+        """The flattened operators (Realization.coordinates)."""
+        return [op.flatten() for op in ops]
+
 
 def zero_or_skip(cid, build) -> CheckOutcome:
     """zero_check of the operator ``build()``; an empty window gives a
@@ -134,8 +139,13 @@ def zero_or_skip(cid, build) -> CheckOutcome:
     try:
         op = build()
     except WindowError as e:
-        return CheckOutcome(cid, (0, -1), "skipped", detail=str(e))
+        return skipped(cid, e)
     return zero_check(cid, op)
+
+
+def skipped(cid, err: WindowError) -> CheckOutcome:
+    """The record of a check whose window is empty."""
+    return CheckOutcome(cid, (0, -1), "skipped", detail=str(err))
 
 
 class OpContext:
@@ -155,7 +165,10 @@ class OpContext:
         self._spans = {}
         self.free = FreeAlgebra(field, L=None, K=None)
         self.realize = Realization(
-            {T0: self.sekiguchi, T1: self.d1}, GradedOp.compose, self.identity_op
+            {T0: self.sekiguchi, T1: self.d1},
+            GradedOp.compose,
+            self.identity_op,
+            coordinates=GradedOp.coordinates,
         )
         self.realize_negative = Realization(
             {T0: self.sekiguchi, T1: self.lowering},
@@ -304,19 +317,6 @@ class OpContext:
             scaled = self.drd(l, 0).scale(self.field.from_int(l - 1))
             return scaled - self.d1(1).commutator(self.drd(l - 1, 0))
         raise ValueError("unknown relation id %r" % rid)
-
-    def word_kernel_bound(self, pairs, elements, dim):
-        """Kernel of the realization on the two-letter t1 words
-        t1[k]t1[l], (k, l) in ``pairs``, against free elements claimed to
-        span a ``dim``-dimensional part of it.  Returns (included, bound):
-        whether every element realizes to zero, checked exactly, and an
-        upper bound on the kernel dimension from a rank certificate at
-        rational kappa points.  With the inclusion, the rank is at most
-        len(pairs) - dim, and the certificate search stops there."""
-        included = all(self.realize(el).is_zero() for el in elements)
-        vecs = [self.realize.word(t1_word(*p)).flatten() for p in pairs]
-        cap = len(pairs) - dim if included else None
-        return included, len(pairs) - linalg.certified_rank_bound(vecs, cap)
 
     # -- order filtration --------------------------------------------------
 

@@ -13,7 +13,6 @@ import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from . import linalg
 from .field import RationalFunctionField, SpecializedField
 from .checks import CheckOutcome
 from .operators import OpContext
@@ -184,32 +183,15 @@ def presentation_suite(cfg: Config, opctx: OpContext):
 
 def shuffle_suite(cfg: Config, opctx: OpContext):
     ctx = ShuffleContext(opctx.field)
-    thunks = [
+    return [
         ctx.kernel_expansion_check,
         ctx.square_of_unit_degree_check,
         ctx.quadratic_relation_check,
         ctx.associativity_check,
         lambda: ctx.rank2_kernel_compare(4, opctx),
         lambda: ctx.exchange_samples_check(opctx),
+        lambda: ctx.rank3_kernel_compare(min(6, cfg.N - 2), opctx),
     ]
-
-    def rank3():
-        # exact coefficients at rank 3 exceed the time budget; run the
-        # span comparison at a fixed rational specialization (advisory
-        # when it passes, definitive when it fails)
-        if opctx.field.mode == "specialized":
-            sfield, sctx = opctx.field, opctx
-        else:
-            sfield = SpecializedField(linalg.CERTIFICATE_POINTS[0])
-            sctx = OpContext(sfield, max(cfg.N, 12))
-        out = ShuffleContext(sfield).rank3_span_check(sctx, amax=3)
-        out.detail = (out.detail + "; " if out.detail else "") + (
-            "advisory: specialized kappa"
-        )
-        return out
-
-    thunks.append(rank3)
-    return thunks
 
 
 def fock_suite(cfg: Config, opctx: OpContext):

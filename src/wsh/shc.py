@@ -35,7 +35,7 @@ from math import comb
 
 from .checks import CheckOutcome
 from .multipoly import MultiPoly
-from .operators import GradedOp, WindowError, zero_or_skip
+from .operators import GradedOp, WindowError, skipped, zero_or_skip
 from .partitions import content_power_sum, partitions_of
 from .series import TruncSeries, series_exp
 
@@ -455,7 +455,7 @@ class ShcContext:
             try:
                 outcome, fitted = self.fit_central_charge(hmax, conv)
             except WindowError as e:
-                return [CheckOutcome(cid, (0, -1), "skipped", detail=str(e))]
+                return [skipped(cid, e)]
             if outcome.status == "pass":
                 passed.append(conv)
                 out.append(outcome)

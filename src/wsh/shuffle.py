@@ -22,11 +22,11 @@ import random
 from itertools import combinations
 from math import comb, prod
 
-from . import linalg
 from .checks import CheckOutcome
 from .linalg import _norm1, _norm_inf, _slot_width
 from .multipoly import MultiPoly
-from .presentation import T1, FreeAlgebra, FreeElement, Realization, t1_word
+from .operators import WindowError, skipped
+from .presentation import T1, FreeAlgebra, Realization, kernel_certificate, t1_word
 
 
 class Kernel:
@@ -125,6 +125,14 @@ class ShuffleElem:
     def scale(self, c):
         return ShuffleElem(self.poly * c)
 
+    @staticmethod
+    def coordinates(elems):
+        """Coefficient vectors of the elements over the sorted union of
+        their monomials (Realization.coordinates)."""
+        basis = sorted(set().union(*(e.poly.terms for e in elems)))
+        zero = elems[0].field.zero
+        return [[e.poly.terms.get(m, zero) for m in basis] for e in elems]
+
     def __eq__(self, other):
         return isinstance(other, ShuffleElem) and self.poly == other.poly
 
@@ -210,6 +218,7 @@ class ShuffleContext:
             {T1: lambda k: ShuffleElem.generator(k, field)},
             lambda a, b: star_product(a, b, self.kernel),
             lambda: ShuffleElem.unit(field),
+            coordinates=ShuffleElem.coordinates,
         )
 
     # -- checks ------------------------------------------------------------
@@ -295,36 +304,29 @@ class ShuffleContext:
                 )
         return CheckOutcome("shuffle_associativity", (0, trials - 1), "pass")
 
-    # -- rank-2 comparison with the operator realization -------------------
+    # -- kernel comparisons with the operator realization -------------------
 
-    def _word_vectors(self, words):
-        """Coefficient vectors of the images of the words over the sorted
-        union of their monomials."""
-        polys = [self.realize.word(w).poly for w in words]
-        basis = sorted(set().union(*(p.terms for p in polys)))
-        zero = self.field.zero
-        return [[p.terms.get(m, zero) for m in basis] for p in polys]
+    def _certificates(self, words, relations, opctx):
+        """kernel_certificate of the relations on the words in the shuffle
+        algebra and on the operators of opctx: (included in both, relation
+        span, shuffle kernel bound, operator kernel bound)."""
+        s_in, span, skernel = kernel_certificate(relations, words, self.realize)
+        o_in, _, okernel = kernel_certificate(relations, words, opctx.realize)
+        return s_in and o_in, span, skernel, okernel
 
     def rank2_kernel_compare(self, K, opctx) -> list:
         """Kernel of the rank-2 shuffle multiplication map versus the kernel
         of the corresponding operator map, plus the divisibility witness.
 
-        The shuffle kernel is computed exactly; OpContext.word_kernel_bound
-        verifies exactly that each kernel vector annihilates the operator
-        products (inclusion) and bounds the operator-side kernel dimension
-        by a rank certificate at rational kappa points (rank can only drop
-        under specialization, so the bound plus the inclusion give
-        equality).
+        Both kernels are certified against the rank-2 relations
+        rank2_relation(k, l), k, l <= K - 3 (kernel_certificate): the
+        relations vanish exactly in both realizations, and a certified
+        relation span equal to both kernel bounds makes them the kernel
+        of both.
         """
         f = self.field
-        pairs = [(k, l) for k in range(K + 1) for l in range(K + 1)]
-        svecs = self._word_vectors([t1_word(*p) for p in pairs])
-        _, skernel = linalg.kernel_of_vectors(svecs, f)
-        elements = [
-            FreeElement(self.free, {t1_word(*p): c for p, c in zip(pairs, v)})
-            for v in skernel
-        ]
-        included, okernel = opctx.word_kernel_bound(pairs, elements, len(skernel))
+        words, rels = self.free.rank2_relations(K)
+        included, span, skernel, okernel = self._certificates(words, rels, opctx)
         out = [
             CheckOutcome(
                 "shuffle_rank2_kernel_inclusion(K=%d)" % K,
@@ -334,20 +336,18 @@ class ShuffleContext:
             CheckOutcome(
                 "shuffle_rank2_kernel_dims(K=%d)" % K,
                 (0, K),
-                "pass" if included and okernel == len(skernel) else "fail",
+                "pass" if included and span == skernel == okernel else "fail",
                 detail="shuffle kernel %d, certified operator kernel %d"
-                % (len(skernel), okernel),
+                % (skernel, okernel),
             ),
         ]
-        # divisibility witness: each kernel vector, read as sum a_kl z1^k z2^l,
+        # divisibility witness: each relation, read as sum a_kl z1^k z2^l,
         # is divisible by h(z2 - z1) with symmetric quotient
         hrev = self.kernel.h_of(_difference(1, 0, 2, f))
         div_ok = True
-        for v in skernel:
+        for el in rels:
             poly = MultiPoly(
-                2,
-                {(k, l): c for (k, l), c in zip(pairs, v) if c != f.zero},
-                f,
+                2, {(w[0][1], w[1][1]): c for w, c in el.terms.items()}, f
             )
             try:
                 q = poly.divexact(hrev)
@@ -365,6 +365,32 @@ class ShuffleContext:
             )
         )
         return out
+
+    def rank3_kernel_compare(self, d, opctx) -> list:
+        """Completeness of the presentation at rank 3: on the words
+        t1[a]t1[b]t1[c] with a+b+c <= d, the relations S_d
+        (FreeAlgebra.rank3_relations) vanish in the shuffle algebra and on
+        the operators, and their certified span meets both kernel bounds.
+        Operator words with an empty window give skipped records."""
+        ids = [
+            "shuffle_rank3_kernel_%s(d=%d)" % (what, d)
+            for what in ("inclusion", "dims")
+        ]
+        words, rels = self.free.rank3_relations(d)
+        try:
+            included, span, skernel, okernel = self._certificates(words, rels, opctx)
+        except WindowError as e:
+            return [skipped(cid, e) for cid in ids]
+        return [
+            CheckOutcome(ids[0], (0, d), "pass" if included else "fail"),
+            CheckOutcome(
+                ids[1],
+                (0, d),
+                "pass" if included and span == skernel == okernel else "fail",
+                detail="relation span %d, shuffle kernel %d, certified "
+                "operator kernel %d" % (span, skernel, okernel),
+            ),
+        ]
 
     def exchange_samples_check(self, opctx) -> CheckOutcome:
         """Coefficient instances (l, k), for every (l, k) in {3,4}^2, of the
@@ -385,24 +411,4 @@ class ShuffleContext:
             window,
             "pass",
             detail="instances %s" % (grid,),
-        )
-
-    def rank3_span_check(self, opctx, amax=3) -> CheckOutcome:
-        """Dimension of span{z^a * z^b * z^c} against the span of the
-        corresponding operator products (advisory at rank 3)."""
-        words = [
-            t1_word(a, b, c)
-            for a in range(amax + 1)
-            for b in range(amax + 1)
-            for c in range(amax + 1)
-        ]
-        sdim = linalg.rank_of_vectors(self._word_vectors(words), self.field)
-        odim = linalg.rank_of_vectors(
-            [opctx.realize.word(w).flatten() for w in words], self.field
-        )
-        return CheckOutcome(
-            "shuffle_rank3_span(amax=%d,N=%d)" % (amax, opctx.N),
-            (0, amax),
-            "pass" if sdim == odim else "fail",
-            detail="shuffle %d, operator %d" % (sdim, odim),
         )

@@ -280,6 +280,39 @@ def fraction_rank_oracle(rows) -> int:
     return rank
 
 
+def kernel_of_vectors(vectors, field):
+    """Left kernel of the list: (rank, kernel), kernel holding coefficient
+    vectors a with sum a_i v_i = 0, one per dependency.  Each vector is
+    cleared, given a unit tail, and reduced against the rows so far; it
+    joins them when its vector part is nonzero, and otherwise its tail is
+    a dependency on the cleared rows, rescaled to the original vectors.
+    The exact reference for the certified relation spans and kernels."""
+    if not vectors:
+        return 0, []
+    m, k = len(vectors[0]), len(vectors)
+    basis = linalg.SpanBasis(field)
+    # zero and one of the row ring, and its map into the field
+    if field.mode == "specialized":
+        zero, one, to_field = 0, 1, field.from_int
+    else:
+        zero, one, to_field = (), (1,), field.from_poly
+    kernel = []
+    scales = []  # cleared row = scale * original vector, per vector
+    for i, v in enumerate(vectors):
+        row = linalg.clear_denominators(v, field)
+        j = next((j for j, p in enumerate(row) if p), None)
+        scales.append(field.one if j is None else to_field(row[j]) / v[j])
+        tail = [zero] * k
+        tail[i] = one
+        red = basis._reduce_row(row + tail)
+        if any(red[:m]):
+            basis.add_row(red)
+        else:
+            coeffs = [to_field(p) * s for p, s in zip(red[m:], scales)]
+            kernel.append(coeffs + [field.zero] * (k - len(coeffs)))
+    return basis.dim, kernel
+
+
 @pytest.fixture(scope="session")
 def field():
     return RationalFunctionField()

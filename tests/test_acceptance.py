@@ -5,10 +5,12 @@ truncation window with index bounds K = L = 5 and series order M = 6.
 Each test asserts exact zero (or exact equality) -- no tolerances.
 """
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -212,3 +214,8 @@ def test_verify_all_byte_identical():
         "jobs": 1,
         "mode": "exact",
     }
+    assert Counter(c["status"] for c in doc["checks"]) == {"pass": 175}
+    ids = "\n".join(sorted(c["id"] for c in doc["checks"]))
+    assert hashlib.sha256(ids.encode()).hexdigest() == (
+        "b42a650c33ccc8be534a072e8b9dc543c8708e0f8a4d2c748f43cb13e81a321f"
+    )

@@ -12,8 +12,8 @@ import os
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "wshbench")
 
-# names the benchmark reads that left wsh before this test existed
-STALE = {"linalg.fraction_rank", "linalg.mat_inv"}
+# names the benchmark reads that have left wsh (they read 0 there)
+STALE = {"linalg.fraction_rank", "linalg.kernel_of_vectors", "linalg.mat_inv"}
 
 
 def _load(name):

@@ -241,3 +241,16 @@ def test_a_skipped_relation_check_has_its_pass_id(capsys):
     assert sorted(c["id"] for c in checks[3]) == sorted(c["id"] for c in checks[6])
     skipped = {c["id"] for c in checks[3] if c["status"] == "skipped"}
     assert {"kl_identity(1,3)", "recursion(5)"} <= skipped
+
+
+def test_rank3_check_below_its_window_is_skipped(capsys):
+    # at --max-degree 2 the rank-3 words t1[a]t1[b]t1[c], a+b+c <= 0, have
+    # no source degree; the suite still fails on its rank-2 comparison
+    code, out, err = run(capsys, "verify", "shuffle", "--max-degree", "2")
+    assert code == 1 and err == ""
+    checks = {c["id"]: c for c in json.loads(out)["checks"]}
+    for what in ("inclusion", "dims"):
+        rank3 = checks["shuffle_rank3_kernel_%s(d=0)" % what]
+        assert rank3["status"] == "skipped"
+        assert rank3["detail"] == "truncation too small: empty validity window"
+    assert checks["shuffle_rank2_kernel_dims(K=4)"]["status"] == "fail"

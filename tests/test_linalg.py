@@ -5,7 +5,12 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from conftest import fraction_rank_oracle, mat_inv_oracle, mat_mul_oracle
+from conftest import (
+    fraction_rank_oracle,
+    kernel_of_vectors,
+    mat_inv_oracle,
+    mat_mul_oracle,
+)
 
 from wsh import _poly as P
 from wsh import linalg
@@ -62,7 +67,7 @@ def test_kernel_vectors_annihilate_originals():
     v1 = [F.one / k, F.one]
     v2 = [F.one, k]
     v3 = [F.one / (k + 1), k / (k + 1)]
-    rank, kernel = linalg.kernel_of_vectors([v1, v2, v3], F)
+    rank, kernel = kernel_of_vectors([v1, v2, v3], F)
     assert rank == 1 and len(kernel) == 2
     for coeffs in kernel:
         acc = [F.zero, F.zero]
@@ -78,7 +83,7 @@ def test_kernel_dimension_formula():
         [F.one, F.one, F.kappa],
         [F.one, F.one, F.one * 2],  # sum of the first two
     ]
-    rank, kernel = linalg.kernel_of_vectors(vecs, F)
+    rank, kernel = kernel_of_vectors(vecs, F)
     assert rank + len(kernel) == len(vecs)
     assert rank == 3
 
@@ -284,7 +289,7 @@ def test_specialized_rank_and_kernel_match_the_fraction_oracle():
             assert linalg.rank_of_vectors(vecs, S) == want
             for pt in linalg.CERTIFICATE_POINTS:
                 assert linalg.rank_lower_bound(vecs, pt) == want
-            rank, kernel = linalg.kernel_of_vectors(vecs, S)
+            rank, kernel = kernel_of_vectors(vecs, S)
             assert rank == want and len(kernel) == len(vecs) - want
             assert all(type(c) is Fraction for a in kernel for c in a)
             for coeffs in kernel:
@@ -301,7 +306,7 @@ def test_negative_pivots_match_the_fraction_oracle():
         [Fraction(0), Fraction(-2**70), Fraction(1, 3)],
     ]
     assert linalg.rank_of_vectors(vecs, S) == fraction_rank_oracle(vecs) == 3
-    rank, kernel = linalg.kernel_of_vectors(vecs, S)
+    rank, kernel = kernel_of_vectors(vecs, S)
     assert rank == 3 and len(kernel) == 1
     a = kernel[0]
     assert a[2] and a == [a[2] * c for c in (-1, -1, 1, 0)]

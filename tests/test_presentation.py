@@ -10,6 +10,8 @@ from wsh.presentation import (
     FreeAlgebra,
     IndexOverflowError,
     Realization,
+    commutator,
+    kernel_certificate,
     random_elements,
 )
 
@@ -106,6 +108,30 @@ def test_quadratic_is_half_diagonal_rank2(A):
     lhs = A.quadratic_relation().scale(A.field.from_int(2)).normal_order()
     rhs = A.rank2_relation(0, 0).normal_order()
     assert lhs == rhs
+
+
+def test_cubic_family_is_symmetric_and_starts_at_the_cubic_relation(A, ctx6):
+    t = A.t1
+    assert A.cubic_relation() == commutator(t(0), commutator(t(0), t(1)))
+    assert A.cubic_family(0, 1, 2) == A.cubic_family(2, 0, 1)
+    assert A.cubic_family(0, 1, 1) == A.cubic_family(1, 0, 1)
+    assert ctx6.realize(A.cubic_family(0, 1, 1)).is_zero()
+
+
+def test_rank3_relations_lie_on_their_words(ctx6):
+    sizes = [[len(x) for x in ctx6.free.rank3_relations(d)] for d in range(7)]
+    assert sizes == [[1, 0], [4, 1], [10, 2], [20, 6], [35, 15], [56, 31], [84, 56]]
+    words, rels = ctx6.free.rank3_relations(6)
+    assert all(sum(k for _, k in w) <= 6 for w in words)
+    for el in rels:
+        assert el.terms and set(el.terms) <= set(words)
+
+
+def test_kernel_certificate_rejects_a_non_relation(ctx6):
+    words, rels = ctx6.free.rank2_relations(4)
+    assert kernel_certificate(rels, words, ctx6.realize) == (True, 3, 3)
+    word = ctx6.free.t1(0) * ctx6.free.t1(1)
+    assert kernel_certificate(rels + [word], words, ctx6.realize) == (False, 4, 3)
 
 
 def test_cached_evaluation_matches_oracle_on_random_words(A, ctx5):

@@ -4,12 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import multipoly_mul_oracle, star_product_oracle
+from conftest import kernel_of_vectors, multipoly_mul_oracle, star_product_oracle
 from test_multipoly import random_poly
 
+from wsh import linalg
 from wsh.field import RationalFunctionField, SpecializedField
 from wsh.multipoly import MultiPoly
-from wsh.presentation import t1_word
+from wsh.operators import OpContext
+from wsh.presentation import FreeAlgebra, kernel_certificate, t1_word
 from wsh.shuffle import Kernel, ShuffleContext, ShuffleElem, star_product
 
 F = RationalFunctionField()
@@ -92,6 +94,52 @@ def test_rank2_kernel_certificates(sc, ctx6):
     # the kernel of the rank-2 comparison map has dimension 3 at window 4
     dims = [o for o in outcomes if "kernel_dims" in o.id]
     assert dims and "3" in dims[0].detail
+
+
+# at rank 3 the exact echelon over Z[kappa] runs over a minute (SpanBasis strips
+# integer content only, so kappa-degrees double with each pivot); the
+# oracle runs at kappa = 7/3 there
+@pytest.mark.parametrize("rank, field, dim", [(2, F, 3), (3, S, 5)])
+def test_certified_relation_span_is_the_oracle_kernel(rank, field, dim):
+    """The rank-2 box at K=4 and W_3 at rank 3: the kernel of the shuffle
+    words from the oracle has the certified dimension, and each of its
+    vectors lies in the span of the relations."""
+    sc = ShuffleContext(field)
+    if rank == 2:
+        words, rels = sc.free.rank2_relations(4)
+    else:
+        words, rels = sc.free.rank3_relations(3)
+    assert kernel_certificate(rels, words, sc.realize) == (True, dim, dim)
+    images = ShuffleElem.coordinates([sc.realize.word(w) for w in words])
+    rank_, kernel = kernel_of_vectors(images, field)
+    assert rank_ + dim == len(words) and len(kernel) == dim
+    span = linalg.SpanBasis(field)
+    for el in rels:
+        span.add([el.terms.get(w, field.zero) for w in words])
+    assert span.dim == dim
+    assert all(span.contains(a) for a in kernel)
+
+
+def test_rank3_kernel_certificate_at_the_reference_window(sc, ctx8):
+    inclusion, dims = sc.rank3_kernel_compare(6, ctx8)
+    assert inclusion.id == "shuffle_rank3_kernel_inclusion(d=6)"
+    assert inclusion.status == "pass" and inclusion.window == (0, 6)
+    assert dims.id == "shuffle_rank3_kernel_dims(d=6)" and dims.status == "pass"
+    assert dims.detail == (
+        "relation span 35, shuffle kernel 35, certified operator kernel 35"
+    )
+
+
+def test_rank3_kernel_dims_fail_without_the_cubic_family(monkeypatch):
+    # the R2 products alone span 6 of the 11 kernel dimensions on W_4, so
+    # the check cannot pass by construction
+    monkeypatch.setattr(FreeAlgebra, "cubic_family", lambda self, *ks: self.zero())
+    inclusion, dims = ShuffleContext(S).rank3_kernel_compare(4, OpContext(S, 6))
+    assert inclusion.status == "pass"
+    assert dims.status == "fail"
+    assert dims.detail == (
+        "relation span 6, shuffle kernel 11, certified operator kernel 11"
+    )
 
 
 def test_exchange_samples(sc, ctx6):
