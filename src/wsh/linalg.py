@@ -1,14 +1,19 @@
-"""Exact dense linear algebra over the coefficient field.
+"""Exact dense linear algebra over the coefficient field and its rings.
 
-Two layers:
+Three layers:
 
-* dense matrices: a fraction-free product, which multiplies in Z[kappa]
-  and reduces each result entry once;
-* one fraction-free echelon form ("SpanBasis") that clears denominators
-  and eliminates on primitive rows in the ring the cleared entries lie
-  in: integer kappa-polynomials (coefficient tuples) in exact mode, plain
-  ints when kappa is specialized.  Rank, membership and the rank
-  certificates at rational kappa points all go through it.
+* int kernels for matrices in the ring their entries lie in: the product
+  of int matrices (``_int_mat_mul``) and the Kronecker packing of integer
+  kappa-polynomials into ints (``_pack``, ``_unpack``, ``_repack``,
+  ``_slot_width``).  ``operators.GradedOp`` computes with these directly;
+* field-element matrices: a fraction-free product (``mat_mul``), which
+  multiplies in Z[kappa] and reduces each result entry once, for the
+  Jack-basis products and the eigenvalues of decoded operator blocks;
+* one fraction-free echelon form ("SpanBasis") on primitive rows in the
+  ring: integer kappa-polynomials (coefficient tuples) in exact mode,
+  plain ints when kappa is specialized.  Rank, membership and the rank
+  certificates at rational kappa points all go through it; a certificate
+  evaluates its rows with integer Horner.
 """
 
 from __future__ import annotations
@@ -22,14 +27,8 @@ from .field import FieldElem, SpecializedField
 _ONE = (1,)
 
 # ----------------------------------------------------------------------
-# generic dense matrices (tuples/lists of rows of field elements)
+# dense matrices: rows of field elements, or of ints in the ring kernels
 # ----------------------------------------------------------------------
-
-
-def identity(n, field):
-    return [
-        [field.one if i == j else field.zero for j in range(n)] for i in range(n)
-    ]
 
 
 def mat_mul(A, B, field):
@@ -49,7 +48,7 @@ def mat_mul(A, B, field):
         rows = [_common_int_denominator(row) for row in A]
         cols = [_common_int_denominator(col) for col in zip(*B)]
         acc = _int_mat_mul(
-            [nums for _, nums in rows], [nums for _, nums in cols], nb
+            [nums for _, nums in rows], list(zip(*[nums for _, nums in cols])), nb
         )
         return [
             [
@@ -67,7 +66,7 @@ def mat_mul(A, B, field):
     )
     acc = _int_mat_mul(
         [[_pack(a, w) for a in nums] for _, nums in rows],
-        [[_pack(b, w) for b in nums] for _, nums in cols],
+        list(zip(*[[_pack(b, w) for b in nums] for _, nums in cols])),
         nb,
     )
     pmul = P.pmul
@@ -80,13 +79,12 @@ def mat_mul(A, B, field):
     ]
 
 
-def _int_mat_mul(arows, bcols, nb):
-    """Product of int matrices given as rows of A and columns of B."""
-    bnums = list(zip(*bcols))
+def _int_mat_mul(A, B, nb):
+    """Product of int matrices given by their rows; B has nb columns."""
     out = []
-    for anums in arows:
+    for anums in A:
         acc = [0] * nb
-        for a, bk in zip(anums, bnums):
+        for a, bk in zip(anums, B):
             if a:
                 for j, b in enumerate(bk):
                     if b:
@@ -135,9 +133,10 @@ def _norm_inf(p):
 
 
 def _slot_width(bound):
-    """Slot width for values whose coefficients are at most ``bound`` in
-    absolute value, e.g. (Σ‖a‖₁)·max‖b‖∞ for a sum of products a·b."""
-    return bound.bit_length() + 2
+    """The narrowest slot width for values whose coefficients are at most
+    ``bound`` in absolute value, e.g. (Σ‖a‖₁)·max‖b‖∞ for a sum of
+    products a·b: bound < 2^(w-1)."""
+    return bound.bit_length() + 1
 
 
 def _pack(p, w):
@@ -162,21 +161,19 @@ def _unpack(n, w):
     return tuple(out)
 
 
-def mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_scale(A, c):
-    return [[a * c for a in row] for row in A]
-
-
-def mat_is_zero(A, field):
-    zero = field.zero
-    return all(a == zero for row in A for a in row)
+def _repack(n, w, v):
+    """The packed value n at slot width w, packed again at width v."""
+    out = shift = 0
+    mask = (1 << w) - 1
+    half = 1 << (w - 1)
+    while n:
+        c = n & mask
+        if c >= half:
+            c -= 1 << w
+        out += c << shift
+        shift += v
+        n = (n - c) >> w
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -189,9 +186,15 @@ def clear_denominators(vec, field):
     common denominator with their content stripped; ints when kappa is
     specialized, integer kappa-polynomials otherwise."""
     if field.mode == "specialized":
-        _, ints = _common_int_denominator(vec)
-        return _strip_int_content(ints)
-    _, row = _common_denominator(vec)
+        return _strip_int_content(_common_int_denominator(vec)[1])
+    return _strip_content(_common_denominator(vec)[1])
+
+
+def primitive(row, field):
+    """A ring row (ints when kappa is specialized, integer
+    kappa-polynomials otherwise) with its integer content stripped."""
+    if field.mode == "specialized":
+        return _strip_int_content(row)
     return _strip_content(row)
 
 
@@ -265,7 +268,10 @@ class SpanBasis:
         return True
 
     def contains(self, vec) -> bool:
-        return not any(self._reduce_row(clear_denominators(vec, self.field)))
+        return self.contains_row(clear_denominators(vec, self.field))
+
+    def contains_row(self, row) -> bool:
+        return not any(self._reduce_row(row))
 
 
 def rank_of_vectors(vectors, field) -> int:
@@ -290,25 +296,64 @@ CERTIFICATE_POINTS = (
 )
 
 
-def _as_fraction(x, point):
-    if isinstance(x, FieldElem):
-        return x.evaluate(point)
-    return Fraction(x)
-
-
-def evaluate_vectors(vectors, point):
-    return [[_as_fraction(x, point) for x in v] for v in vectors]
-
-
 def rank_lower_bound(vectors, point=None) -> int:
     """Rank certificate by rational specialization (exact lower bound).
-    A point at a pole of some entry certifies nothing: the bound is 0."""
-    point = point or CERTIFICATE_POINTS[0]
-    try:
-        rows = evaluate_vectors(vectors, point)
-    except ZeroDivisionError:
-        return 0
-    return rank_of_vectors(rows, SpecializedField(point))
+
+    An entry is a field element (FieldElem or Fraction), an int or an
+    integer kappa-polynomial (coefficient tuple, as ``GradedOp.flatten``
+    gives).  Each vector is evaluated at kappa = a/b with integer Horner
+    on p(a/b)·b^deg p, zeros skipped, and scaled to an int row, which
+    leaves the rank unchanged.  A point at a pole of some entry certifies
+    nothing: the bound is 0.
+    """
+    point = Fraction(point or CERTIFICATE_POINTS[0])
+    a, b = point.numerator, point.denominator
+    bpow = [1]
+    basis = SpanBasis(SpecializedField(point))
+    for vec in vectors:
+        row = _row_at(vec, a, b, bpow)
+        if row is None:
+            return 0
+        basis.add_row(row)
+    return basis.dim
+
+
+def _row_at(vec, a, b, bpow):
+    """The vector at kappa = a/b as a primitive int row, up to a positive
+    factor; None at a pole.  bpow caches the powers of b."""
+    nums, dens = [], []
+    for x in vec:
+        if not x:
+            n, d = 0, 1
+        elif type(x) is tuple:
+            n, d = _horner(x, a, b, bpow), bpow[len(x) - 1]
+        elif type(x) is FieldElem:
+            p, q = x.num, x.den
+            n, d = _horner(p, a, b, bpow), _horner(q, a, b, bpow)
+            if not d:
+                return None
+            n, d = n * bpow[len(q) - 1], d * bpow[len(p) - 1]
+            if d < 0:
+                n, d = -n, -d
+        else:
+            n, d = x.numerator, x.denominator
+        nums.append(n)
+        dens.append(d)
+    den = 1
+    for d in dens:
+        if den % d:
+            den = den * d // gcd(den, d)
+    return _strip_int_content([n * (den // d) if n else 0 for n, d in zip(nums, dens)])
+
+
+def _horner(p, a, b, bpow):
+    """p(a/b)·b^deg(p) for a nonzero integer polynomial p."""
+    while len(bpow) < len(p):
+        bpow.append(bpow[-1] * b)
+    acc = 0
+    for c, bk in zip(reversed(p), bpow):
+        acc = acc * a + c * bk
+    return acc
 
 
 def certified_rank_bound(vectors, cap=None) -> int:

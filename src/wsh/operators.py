@@ -1,9 +1,18 @@
 """Graded operators on symmetric functions truncated at total degree N.
 
-An operator of rank r is stored per source degree n as an exact matrix
-from the degree-n component to the degree-(n+r) component, both in
-power-sum coordinates.  Every identity check reports the window of source
-degrees it actually verified; a pass is always a pass-on-window claim.
+An operator of rank r is stored per source degree n as a matrix from the
+degree-n component to the degree-(n+r) component, both in power-sum
+coordinates.  The matrices are kept in the ring their entries lie in, not
+in the field: every entry of the D_{r,d} is an integer kappa-polynomial,
+up to one int denominator per operator (the z-ratios of the lowering
+operators, rational scalars such as the 1/2 of the quadratic relation), so
+a block is an int matrix, Kronecker-packed Z[kappa] numerators in exact
+mode and ints over one denominator at kappa = p/q (GradedOp).  Compose,
+sums, scaling and the zero test are int arithmetic; field elements appear
+only where a block is decoded (``GradedOp.block``), for the Jack-basis
+eigenvalues and the tests.  Every identity check reports the window of
+source degrees it actually verified; a pass is always a pass-on-window
+claim.
 
 The relations of the presentation are not written here: OpContext
 realizes the free-algebra relation elements of ``presentation`` on its
@@ -14,11 +23,21 @@ D_{r,d} are built directly.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd
+from operator import add, sub
+
+from . import _poly as P
 from . import linalg
 from .checks import CheckOutcome, zero_check
+from .field import FieldElem
+from .linalg import _int_mat_mul, _norm1, _pack, _repack, _slot_width, _unpack
 from .partitions import add_part, partitions_of
 from .presentation import T0, T1, FreeAlgebra, Realization
 from .symfunc import SymmetricFunctions
+
+
+_ONE = (1,)
 
 
 class WindowError(ValueError):
@@ -38,26 +57,86 @@ FREE_RELATIONS = {
 
 
 class GradedOp:
-    """Homogeneous operator of a fixed rank with one exact matrix per
-    source degree on its validity window."""
+    """Homogeneous operator of a fixed rank: one int matrix per source
+    degree on its validity window, all over one denominator ``den``.
 
-    __slots__ = ("rank", "blocks", "field")
+    Exact mode: an entry is a Z[kappa] numerator Kronecker-packed at the
+    operator's slot width ``width`` (``linalg._pack``), with every
+    coefficient at most ``bound`` in absolute value and kappa-degree at
+    most ``degree``, so bound < 2^(width-1); ``den`` is an integer
+    kappa-polynomial with positive leading coefficient, a constant for
+    every operator the suites build.  The bound is proved through
+    ``compose``, ``+``, ``-`` and ``scale``; an operand is repacked at a
+    wider slot only when the bound of a result needs one.
+    Specialized mode (kappa = p/q): an entry is an int, ``den`` a positive
+    int, and width, bound and degree are None.
 
-    def __init__(self, rank, blocks, field):
+    ``block(n)`` decodes one block into field elements, for the Jack-basis
+    products and the tests; the operator algebra never does.
+    """
+
+    __slots__ = ("rank", "blocks", "field", "den", "width", "bound", "degree")
+
+    def __init__(self, rank, blocks, field, den, width=None, bound=None,
+                 degree=None):
         if not blocks:
             raise WindowError("truncation too small: empty validity window")
         self.rank = rank
         self.blocks = blocks
         self.field = field
+        self.den = den
+        self.width = width
+        self.bound = bound
+        self.degree = degree
+
+    @classmethod
+    def from_ring(cls, rank, blocks, field, den=None):
+        """The operator with the given ring entries over ``den`` (default
+        1): integer kappa-polynomials (coefficient tuples) in exact mode,
+        packed at the narrowest slot their coefficients allow, and ints
+        when kappa is specialized."""
+        if field.mode == "specialized":
+            return cls(rank, blocks, field, den or 1)
+        entries = [p for b in blocks.values() for row in b for p in row]
+        bound = max((abs(c) for p in entries for c in p), default=0)
+        degree = max(max(map(len, entries), default=0) - 1, 0)
+        w = _slot_width(bound)
+        packed = {
+            n: [[_pack(p, w) for p in row] for row in b] for n, b in blocks.items()
+        }
+        return cls(rank, packed, field, den or _ONE, w, bound, degree)
+
+    @classmethod
+    def from_field(cls, rank, blocks, field):
+        """The operator with the given field-element matrices, over the
+        least common denominator of their entries."""
+        common = (
+            linalg._common_int_denominator
+            if field.mode == "specialized"
+            else linalg._common_denominator
+        )
+        den, nums = common([x for b in blocks.values() for row in b for x in row])
+        it = iter(nums)
+        ring = {
+            n: [[next(it) for _ in row] for row in b] for n, b in blocks.items()
+        }
+        return cls.from_ring(rank, ring, field, den)
 
     @property
     def window(self):
         return (min(self.blocks), max(self.blocks))
 
     def block(self, n):
+        """The block at source degree n as a matrix of field elements."""
         if n not in self.blocks:
             raise WindowError("degree %d outside operator window" % n)
-        return self.blocks[n]
+        zero, den = self.field.zero, self.den
+        if self.field.mode == "specialized":
+            return [[Fraction(x, den) if x else zero for x in row]
+                    for row in self.blocks[n]]
+        w = self.width
+        return [[_field_elem(_unpack(x, w), den) if x else zero for x in row]
+                for row in self.blocks[n]]
 
     def _common(self, other):
         if self.rank != other.rank:
@@ -67,49 +146,131 @@ class GradedOp:
             raise WindowError("truncation too small: empty validity window")
         return degs
 
-    def __add__(self, other):
+    def _at(self, w, degs):
+        """The blocks at source degrees degs, packed at slot width
+        w >= self.width."""
+        v = self.width
+        if w == v:
+            return self.blocks
+        return {
+            n: [[_repack(x, v, w) if x else 0 for x in row] for row in self.blocks[n]]
+            for n in degs
+        }
+
+    def _combine(self, other, op):
+        """self op other over the least common multiple of the two
+        denominators, self.den·ka = other.den·kb."""
         degs = self._common(other)
-        return GradedOp(
-            self.rank,
-            {n: linalg.mat_add(self.blocks[n], other.blocks[n]) for n in degs},
-            self.field,
-        )
+        da, db = self.den, other.den
+        if self.field.mode == "specialized":
+            g = gcd(da, db)
+            ka, kb = db // g, da // g
+            den, A, B, fmt = da * ka, self.blocks, other.blocks, ()
+        else:
+            fa = fb = _ONE
+            if da != db:
+                g = P.pgcd(da, db)
+                fa, fb = P.pdivexact(db, g), P.pdivexact(da, g)
+            den = P.pmul(da, fa)
+            bound = self.bound * _norm1(fa) + other.bound * _norm1(fb)
+            degree = max(self.degree + len(fa), other.degree + len(fb)) - 1
+            w = max(self.width, other.width, _slot_width(bound))
+            A, B = self._at(w, degs), other._at(w, degs)
+            ka, kb = _pack(fa, w), _pack(fb, w)
+            fmt = (w, bound, degree)
+        blocks = {}
+        for n in degs:
+            a, b = A[n], B[n]
+            if ka != 1:
+                a = [[x * ka for x in row] for row in a]
+            if kb != 1:
+                b = [[x * kb for x in row] for row in b]
+            blocks[n] = [list(map(op, ra, rb)) for ra, rb in zip(a, b)]
+        return GradedOp(self.rank, blocks, self.field, den, *fmt)
+
+    def __add__(self, other):
+        return self._combine(other, add)
 
     def __sub__(self, other):
-        degs = self._common(other)
-        return GradedOp(
-            self.rank,
-            {n: linalg.mat_sub(self.blocks[n], other.blocks[n]) for n in degs},
-            self.field,
-        )
+        return self._combine(other, sub)
 
     def scale(self, c):
-        return GradedOp(
-            self.rank,
-            {n: linalg.mat_scale(b, c) for n, b in self.blocks.items()},
-            self.field,
-        )
+        """c times the operator, c a field element or an int."""
+        if not c:
+            return self._zero()
+        if self.field.mode == "specialized":
+            m, d = c.numerator, c.denominator
+            g = gcd(m, self.den)
+            m //= g
+            den, fmt = self.den // g * d, ()
+            blocks = self.blocks
+        else:
+            m, d = (c.num, c.den) if isinstance(c, FieldElem) else ((c,), _ONE)
+            g = gcd(gcd(*m), *self.den)
+            den = self.den
+            if g > 1:
+                m = tuple(x // g for x in m)
+                den = tuple(x // g for x in den)
+            if d != _ONE:
+                den = P.pmul(den, d)
+            bound = self.bound * _norm1(m)
+            w = max(self.width, _slot_width(bound))
+            fmt = (w, bound, self.degree + len(m) - 1)
+            blocks = self._at(w, self.blocks)
+            m = _pack(m, w)
+        if m != 1:
+            blocks = {n: [[x * m for x in row] for row in b] for n, b in blocks.items()}
+        return GradedOp(self.rank, blocks, self.field, den, *fmt)
+
+    def _zero(self):
+        blocks = {n: [[0] * len(row) for row in b] for n, b in self.blocks.items()}
+        if self.field.mode == "specialized":
+            return GradedOp(self.rank, blocks, self.field, 1)
+        return GradedOp(self.rank, blocks, self.field, _ONE, self.width, 0, 0)
+
+    def zero_extended(self, n):
+        """The operator with a zero block added at source degree n."""
+        if n in self.blocks:
+            return self
+        rows, cols = len(partitions_of(n + self.rank)), len(partitions_of(n))
+        blocks = dict(self.blocks)
+        blocks[n] = [[0] * cols for _ in range(rows)]
+        return GradedOp(self.rank, blocks, self.field, self.den, self.width,
+                        self.bound, self.degree)
 
     def compose(self, other):
         """self after other (operator product self . other)."""
-        blocks = {}
-        for n, b in other.blocks.items():
-            m = n + other.rank
-            if m in self.blocks:
-                blocks[n] = linalg.mat_mul(self.blocks[m], b, self.field)
-        if not blocks:
+        pairs = [
+            (n, n + other.rank) for n in other.blocks if n + other.rank in self.blocks
+        ]
+        if not pairs:
             raise WindowError("truncation too small: empty validity window")
-        return GradedOp(self.rank + other.rank, blocks, self.field)
+        if self.field.mode == "specialized":
+            A, B, fmt = self.blocks, other.blocks, ()
+            den = self.den * other.den
+        else:
+            # a coefficient of an entry of the product is a sum, over the
+            # inner dimension, of coefficients of products of two entries
+            inner = max(len(other.blocks[n]) for n, _ in pairs)
+            terms = inner * (min(self.degree, other.degree) + 1)
+            bound = terms * self.bound * other.bound
+            w = max(self.width, other.width, _slot_width(bound))
+            A = self._at(w, [m for _, m in pairs])
+            B = other._at(w, [n for n, _ in pairs])
+            fmt = (w, bound, self.degree + other.degree)
+            den = P.pmul(self.den, other.den)
+        blocks = {n: _int_mat_mul(A[m], B[n], len(B[n][0])) for n, m in pairs}
+        return GradedOp(self.rank + other.rank, blocks, self.field, den, *fmt)
 
     def commutator(self, other):
         return self.compose(other) - other.compose(self)
 
     def is_zero(self):
-        return all(linalg.mat_is_zero(b, self.field) for b in self.blocks.values())
+        return not any(any(row) for b in self.blocks.values() for row in b)
 
     def first_failing_block(self):
         for n in sorted(self.blocks):
-            if not linalg.mat_is_zero(self.blocks[n], self.field):
+            if any(any(row) for row in self.blocks[n]):
                 return n
         return None
 
@@ -119,18 +280,38 @@ class GradedOp:
         return (self - other).is_zero()
 
     def flatten(self):
-        """Row-major concatenation of blocks, degree-major, fixed partition
-        order; the coordinate vector used by span and rank computations."""
+        """Row-major concatenation of the block numerators, degree-major,
+        fixed partition order, with their integer content stripped: a
+        primitive ring row (coefficient tuples in exact mode, ints when
+        kappa is specialized) for ``SpanBasis.add_row`` and the rank
+        certificates.  It is the flattened operator times a nonzero
+        element of the field, which changes no rank."""
         out = []
         for n in sorted(self.blocks):
             for row in self.blocks[n]:
                 out.extend(row)
-        return out
+        if self.field.mode == "exact":
+            w = self.width
+            out = [_unpack(x, w) for x in out]
+        return linalg.primitive(out, self.field)
 
     @staticmethod
     def coordinates(ops):
         """The flattened operators (Realization.coordinates)."""
         return [op.flatten() for op in ops]
+
+
+def _field_elem(p, den):
+    """The field element p/den of integer kappa-polynomials, den with
+    positive leading coefficient."""
+    if den == _ONE:
+        return FieldElem(p, _ONE, _reduced=True)
+    if len(den) > 1:
+        return FieldElem(p, den)
+    g = gcd(gcd(*p), den[0])
+    if g > 1:
+        p = tuple(c // g for c in p)
+    return FieldElem(p, (den[0] // g,), _reduced=True)
 
 
 def zero_or_skip(cid, build) -> CheckOutcome:
@@ -163,6 +344,8 @@ class OpContext:
         self._dprime = {}
         self._lower = {}
         self._spans = {}
+        # zero and one of the ring the operator entries lie in
+        self._ring = (0, 1) if field.mode == "specialized" else ((), _ONE)
         self.free = FreeAlgebra(field, L=None, K=None)
         self.realize = Realization(
             {T0: self.sekiguchi, T1: self.d1},
@@ -184,43 +367,44 @@ class OpContext:
         if not 1 <= l <= self.N:
             raise WindowError("power-sum degree %d beyond truncation" % l)
         if l not in self._mult:
-            field = self.field
+            zero, one = self._ring
             blocks = {}
             for n in range(0, self.N - l + 1):
                 src = partitions_of(n)
                 dst = partitions_of(n + l)
                 idx = {lam: i for i, lam in enumerate(dst)}
-                mat = [[field.zero] * len(src) for _ in dst]
+                mat = [[zero] * len(src) for _ in dst]
                 for j, lam in enumerate(src):
-                    mat[idx[add_part(lam, l)]][j] = field.one
+                    mat[idx[add_part(lam, l)]][j] = one
                 blocks[n] = mat
-            self._mult[l] = GradedOp(l, blocks, field)
+            self._mult[l] = GradedOp.from_ring(l, blocks, self.field)
         return self._mult[l]
 
     def identity_op(self) -> GradedOp:
         """Rank-0 identity on every degree of the truncation window."""
-        field = self.field
-        blocks = {
-            n: linalg.identity(len(partitions_of(n)), field)
-            for n in range(self.N + 1)
-        }
-        return GradedOp(0, blocks, field)
+        zero, one = self._ring
+        blocks = {}
+        for n in range(self.N + 1):
+            k = len(partitions_of(n))
+            blocks[n] = [[one if i == j else zero for j in range(k)] for i in range(k)]
+        return GradedOp.from_ring(0, blocks, self.field)
 
     def sekiguchi(self, l) -> GradedOp:
         """The commuting rank-0 operator D_{0,l}, diagonal on the Jack basis
         with eigenvalue sum-of-content-powers (exponent l-1), built from
         the moments of the Lax operator (``SymmetricFunctions.
-        commuting_blocks``) with no Jack basis.  One build gives every
+        commuting_ints``) with no Jack basis.  One build gives every
         D_{0,m}, m <= l, not yet cached; the moments are not kept."""
         if l < 1:
             raise ValueError("index must be >= 1")
         if l not in self._sek:
             # the cached indices are always 1..len(self._sek)
             missing = range(len(self._sek) + 1, l + 1)
-            built = [self.sym.commuting_blocks(n, missing) for n in range(self.N + 1)]
+            built = [self.sym.commuting_ints(n, missing) for n in range(self.N + 1)]
             for i, m in enumerate(missing):
-                blocks = {n: mats[i] for n, mats in enumerate(built)}
-                self._sek[m] = GradedOp(0, blocks, self.field)
+                den = built[0][i][0]
+                blocks = {n: mats[i][1] for n, mats in enumerate(built)}
+                self._sek[m] = GradedOp.from_ring(0, blocks, self.field, den)
         return self._sek[l]
 
     def d1(self, k) -> GradedOp:
@@ -262,17 +446,17 @@ class OpContext:
             field = self.field
             up = self.d1(k)
             blocks = {}
-            for n, A in up.blocks.items():
+            for n in up.blocks:
+                A = up.block(n)
                 g_src = self.sym.gram_diag(n)
-                g_dst = self.sym.gram_diag(n + 1)
-                rows = len(A[0])  # adjoint block: p(n) x p(n+1), source degree n+1
-                mat = [
-                    [A[j][i] * g_dst[j] / g_src[i] for j in range(len(A))]
-                    for i in range(rows)
+                g_dst = [field.kappa * g for g in self.sym.gram_diag(n + 1)]
+                # adjoint block: p(n) x p(n+1), source degree n+1
+                blocks[n + 1] = [
+                    [A[j][i] * g_dst[j] / g_src[i] if A[j][i] else field.zero
+                     for j in range(len(A))]
+                    for i in range(len(A[0]))
                 ]
-                blocks[n + 1] = mat
-            op = GradedOp(-1, blocks, field)
-            self._lower[k] = op.scale(field.kappa)
+            self._lower[k] = GradedOp.from_field(-1, blocks, field)
         return self._lower[k]
 
     # -- spectral helpers ---------------------------------------------------
@@ -382,7 +566,7 @@ class _Span:
         self.basis = linalg.SpanBasis(field)
         self.ops = []
         for op in candidates:
-            if self.basis.add(op.flatten()):
+            if self.basis.add_row(op.flatten()):
                 self.ops.append(op)
 
     @property
@@ -390,7 +574,7 @@ class _Span:
         return self.basis.dim
 
     def contains(self, op: GradedOp) -> bool:
-        return self.basis.contains(op.flatten())
+        return self.basis.contains_row(op.flatten())
 
 
 def _count_monomials(r, d, min_r, min_d):

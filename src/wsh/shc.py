@@ -251,6 +251,7 @@ class ShcContext:
         self.opctx = opctx
         self.field = opctx.field
         self._eops = {}
+        self._eigs = {}
 
     def e_operator(self, k, l) -> GradedOp:
         """[lowering k, raising l]: rank 0; the vacuum block is the pure
@@ -258,15 +259,17 @@ class ShcContext:
         if (k, l) not in self._eops:
             down, up = self.opctx.lowering(k), self.opctx.d1(l)
             a = down.compose(up)
-            b = up.compose(down)
-            blocks = {0: a.blocks[0]} if 0 in a.blocks else {}
-            for n in sorted(set(a.blocks) & set(b.blocks)):
-                blocks[n] = [
-                    [x - y for x, y in zip(ra, rb)]
-                    for ra, rb in zip(a.blocks[n], b.blocks[n])
-                ]
-            self._eops[k, l] = GradedOp(0, blocks, self.field)
+            b = up.compose(down).zero_extended(0)
+            self._eops[k, l] = a - b
         return self._eops[k, l]
+
+    def _eigenvalues(self, h, n):
+        """OpContext.jack_eigenvalues of e_operator(0, h) at degree n,
+        cached: the fit reads them once per partition and convention."""
+        if (h, n) not in self._eigs:
+            op = self.e_operator(0, h)
+            self._eigs[h, n] = self.opctx.jack_eigenvalues(op, n)
+        return self._eigs[h, n]
 
     # -- relation checks -----------------------------------------------------
 
@@ -301,8 +304,7 @@ class ShcContext:
                 )
             )
             diagonal = all(
-                None not in self.opctx.jack_eigenvalues(ref, n)
-                for n in sorted(ref.blocks)
+                None not in self._eigenvalues(h, n) for n in sorted(ref.blocks)
             )
             out.append(
                 CheckOutcome(
@@ -347,8 +349,7 @@ class ShcContext:
         """Eigenvalue of the mixed commutator with total index h on the
         Jack function of lam."""
         n = sum(lam)
-        op = self.e_operator(0, h)
-        eig = self.opctx.jack_eigenvalues(op, n)[partitions_of(n).index(lam)]
+        eig = self._eigenvalues(h, n)[partitions_of(n).index(lam)]
         if eig is None:
             raise ArithmeticError("operator not diagonal in Jack basis")
         return eig

@@ -245,23 +245,36 @@ class SymmetricFunctions:
 
     # -- the commuting operators D_{0,l} ----------------------------------
 
-    def commuting_blocks(self, n, ls):
-        """The blocks of D_{0,l} at degree n in p-coordinates, for each l
-        in ls, from the moments of the Lax operator: no Jack basis, and
-        one division per entry at the end.  Nothing is cached."""
+    def commuting_ints(self, n, ls):
+        """(den, block) of D_{0,l} at degree n in p-coordinates, for each l
+        in ls, in the ring of its entries: integer kappa-polynomials
+        (coefficient tuples) over 1 in exact mode, ints over Q^(l-1) at
+        kappa = P/Q.  From the moments of the Lax operator: no Jack basis,
+        and one division per entry at the end.  Nothing is cached."""
         field = self.field
-        zero = field.zero
         if field.mode == "exact":
             w = _slot_width(_moment_bound(n, max(ls)))
             return [
-                [[field.from_poly(_unpack(x, w)) if x else zero for x in row]
-                 for row in mat]
+                ((1,), [[_unpack(x, w) for x in row] for row in mat])
                 for mat in _commuting_ints(n, ls, 1 << w, 1)
             ]
         P, Q = field.kappa.numerator, field.kappa.denominator
         return [
-            [[Fraction(x, Q ** (l - 1)) if x else zero for x in row] for row in mat]
-            for l, mat in zip(ls, _commuting_ints(n, ls, P, Q))
+            (Q ** (l - 1), mat) for l, mat in zip(ls, _commuting_ints(n, ls, P, Q))
+        ]
+
+    def commuting_blocks(self, n, ls):
+        """The blocks of ``commuting_ints`` as field-element matrices."""
+        field = self.field
+        zero = field.zero
+        if field.mode == "exact":
+            return [
+                [[field.from_poly(p) if p else zero for p in row] for row in mat]
+                for _, mat in self.commuting_ints(n, ls)
+            ]
+        return [
+            [[Fraction(x, den) if x else zero for x in row] for row in mat]
+            for den, mat in self.commuting_ints(n, ls)
         ]
 
     # -- Jack basis --------------------------------------------------------

@@ -1,14 +1,17 @@
+from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
 import pytest
 
 from wsh import linalg
-from wsh.field import RationalFunctionField
+from wsh.field import FieldElem, RationalFunctionField
 from wsh.multipoly import MultiPoly
-from wsh.operators import OpContext
+from wsh.operators import FREE_RELATIONS, OpContext, WindowError
 from wsh.partitions import add_part, boxes, content_power_sum, partitions_of
+from wsh.presentation import T0, T1, FreeAlgebra, Realization
 from wsh.shuffle import ShuffleElem
+from wsh.symfunc import SymmetricFunctions
 
 
 def column(op, lam):
@@ -91,6 +94,202 @@ def mat_mul_oracle(A, B, field):
     return out
 
 
+def identity_matrix(n, field):
+    return [
+        [field.one if i == j else field.zero for j in range(n)] for i in range(n)
+    ]
+
+
+def mat_add(A, B):
+    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+
+
+def mat_sub(A, B):
+    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+
+
+def mat_scale(A, c):
+    return [[a * c for a in row] for row in A]
+
+
+def mat_is_zero(A, field):
+    zero = field.zero
+    return all(a == zero for row in A for a in row)
+
+
+class FieldOp:
+    """A graded operator stored as one matrix of field elements per source
+    degree and combined entrywise (``mat_add``, ``mat_sub``, ``mat_scale``,
+    ``mat_is_zero``, and ``linalg.mat_mul`` for the product).  The
+    reference for the int storage of ``GradedOp``."""
+
+    def __init__(self, rank, blocks, field):
+        if not blocks:
+            raise WindowError("truncation too small: empty validity window")
+        self.rank = rank
+        self.blocks = blocks
+        self.field = field
+
+    @classmethod
+    def of(cls, op):
+        """The decoded blocks of a GradedOp."""
+        return cls(op.rank, {n: op.block(n) for n in op.blocks}, op.field)
+
+    def _common(self, other):
+        if self.rank != other.rank:
+            raise ValueError("rank mismatch")
+        degs = sorted(set(self.blocks) & set(other.blocks))
+        if not degs:
+            raise WindowError("truncation too small: empty validity window")
+        return degs
+
+    def __add__(self, other):
+        degs = self._common(other)
+        blocks = {n: mat_add(self.blocks[n], other.blocks[n]) for n in degs}
+        return FieldOp(self.rank, blocks, self.field)
+
+    def __sub__(self, other):
+        degs = self._common(other)
+        blocks = {n: mat_sub(self.blocks[n], other.blocks[n]) for n in degs}
+        return FieldOp(self.rank, blocks, self.field)
+
+    def scale(self, c):
+        blocks = {n: mat_scale(b, c) for n, b in self.blocks.items()}
+        return FieldOp(self.rank, blocks, self.field)
+
+    def compose(self, other):
+        blocks = {}
+        for n, b in other.blocks.items():
+            m = n + other.rank
+            if m in self.blocks:
+                blocks[n] = linalg.mat_mul(self.blocks[m], b, self.field)
+        return FieldOp(self.rank + other.rank, blocks, self.field)
+
+    def commutator(self, other):
+        return self.compose(other) - other.compose(self)
+
+    def is_zero(self):
+        return all(mat_is_zero(b, self.field) for b in self.blocks.values())
+
+
+class FieldOpContext:
+    """OpContext's generators and relation operators built on FieldOp, as
+    they were built before operators left the field layer."""
+
+    def __init__(self, field, N):
+        self.field = field
+        self.N = N
+        self.sym = SymmetricFunctions(field)
+        self.free = FreeAlgebra(field, L=None, K=None)
+        self._cache = {}
+        self.realize = Realization(
+            {T0: self.sekiguchi, T1: self.d1}, FieldOp.compose, self.identity_op
+        )
+        self.realize_negative = Realization(
+            {T0: self.sekiguchi, T1: self.lowering},
+            FieldOp.compose,
+            self.identity_op,
+            anti=True,
+        )
+
+    def _cached(self, key, build):
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
+    def multiplication(self, l):
+        def build():
+            F = self.field
+            blocks = {}
+            for n in range(0, self.N - l + 1):
+                src, dst = partitions_of(n), partitions_of(n + l)
+                blocks[n] = [
+                    [F.one if add_part(lam, l) == mu else F.zero for lam in src]
+                    for mu in dst
+                ]
+            return FieldOp(l, blocks, F)
+
+        return self._cached(("mult", l), build)
+
+    def identity_op(self):
+        F = self.field
+        blocks = {
+            n: identity_matrix(len(partitions_of(n)), F) for n in range(self.N + 1)
+        }
+        return FieldOp(0, blocks, F)
+
+    def sekiguchi(self, l):
+        return self._cached(
+            ("sek", l),
+            lambda: FieldOp(
+                0,
+                {n: self.sym.commuting_blocks(n, [l])[0] for n in range(self.N + 1)},
+                self.field,
+            ),
+        )
+
+    def d1(self, k):
+        return self.drd(1, k)
+
+    def drd(self, r, d):
+        def build():
+            if d:
+                return self.sekiguchi(d + 1).commutator(self.drd(r, 0))
+            base = self.multiplication(r)
+            return base.scale(-self.field.one) if r % 2 == 0 else base
+
+        return self._cached(("drd", r, d), build)
+
+    def dprime(self, r, d):
+        def build():
+            op = self.drd(r, 0)
+            for _ in range(d):
+                op = self.sekiguchi(2).commutator(op)
+            return op
+
+        return self._cached(("dprime", r, d), build)
+
+    def lowering(self, k):
+        def build():
+            F = self.field
+            blocks = {}
+            for n, A in self.d1(k).blocks.items():
+                g_src = self.sym.gram_diag(n)
+                g_dst = self.sym.gram_diag(n + 1)
+                blocks[n + 1] = [
+                    [A[j][i] * g_dst[j] / g_src[i] for j in range(len(A))]
+                    for i in range(len(A[0]))
+                ]
+            return FieldOp(-1, blocks, F).scale(F.kappa)
+
+        return self._cached(("lower", k), build)
+
+    def relation(self, rid, *args):
+        """OpContext._relation on FieldOps."""
+        F = self.field
+        if rid in FREE_RELATIONS:
+            return self.realize(getattr(self.free, FREE_RELATIONS[rid])(*args))
+        if rid == "kl_identity":
+            k, l = args
+            bracket = self.drd(k, 1).commutator(self.drd(l, 0))
+            return bracket - self.drd(k + l, 0).scale(F.from_int(k * l))
+        if rid == "recursion":
+            (l,) = args
+            scaled = self.drd(l, 0).scale(F.from_int(l - 1))
+            return scaled - self.d1(1).commutator(self.drd(l - 1, 0))
+        raise ValueError(rid)
+
+    def e_operator(self, k, l):
+        """[lowering k, raising l] with the vacuum block of the pure
+        product, as ShcContext.e_operator."""
+        a = self.lowering(k).compose(self.d1(l))
+        b = self.d1(l).compose(self.lowering(k))
+        blocks = {0: a.blocks[0]}
+        for n in sorted(set(a.blocks) & set(b.blocks)):
+            blocks[n] = mat_sub(a.blocks[n], b.blocks[n])
+        return FieldOp(0, blocks, self.field)
+
+
 def multipoly_mul_oracle(a, b):
     """Termwise product: every multiply-add is a reduced field element.
     The reference for the fraction-free ``MultiPoly.__mul__``."""
@@ -161,7 +360,7 @@ def mat_inv_oracle(A, field):
     ``SymmetricFunctions.m_to_p`` and ``jack_matrix_inv_oracle``."""
     n = len(A)
     zero, one = field.zero, field.one
-    work = [list(row) + unit for row, unit in zip(A, linalg.identity(n, field))]
+    work = [list(row) + unit for row, unit in zip(A, identity_matrix(n, field))]
     for col in range(n):
         piv = next((r for r in range(col, n) if work[r][col] != zero), None)
         if piv is None:
@@ -252,6 +451,16 @@ def laplace_beltrami_oracle(field, n):
                 put(add_part(add_part(rest, i), r - i), j, 0, -r)
     fi, half = field.from_int, field.one / field.from_int(2)
     return [[(fi(c0) + field.kappa * fi(c1)) * half for c0, c1 in row] for row in twice]
+
+
+def evaluate_vectors_oracle(vectors, point):
+    """Every entry at kappa = point as a Fraction, by Fraction Horner
+    (``FieldElem.evaluate``).  The reference for the integer Horner of
+    ``linalg.rank_lower_bound``."""
+    return [
+        [x.evaluate(point) if isinstance(x, FieldElem) else Fraction(x) for x in v]
+        for v in vectors
+    ]
 
 
 def fraction_rank_oracle(rows) -> int:

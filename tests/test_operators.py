@@ -13,7 +13,7 @@ from conftest import (
 
 from wsh.checks import zero_check
 from wsh.field import SpecializedField
-from wsh.operators import OpContext, WindowError
+from wsh.operators import GradedOp, OpContext, WindowError
 from wsh.partitions import add_part, content_power_sum, partitions_of
 from wsh.report import _spectrum_checks
 from wsh.symfunc import SymmetricFunctions
@@ -98,12 +98,15 @@ def test_sekiguchi_builds_without_a_jack_basis(field, ctx6, monkeypatch):
 def test_spectrum_check_names_a_wrong_eigenvalue(field, l, wrong):
     # D_{0,l} rebuilt with the eigenvalue on each partition in wrong off by one
     ctx = OpContext(field, 4)
+    op = ctx.sekiguchi(l)
+    blocks = {n: op.block(n) for n in op.blocks}
     for n in sorted({sum(lam) for lam in wrong}):
         eigs = [
             content_power_sum(lam, l, field) + (field.one if lam in wrong else 0)
             for lam in partitions_of(n)
         ]
-        ctx.sekiguchi(l).blocks[n] = sekiguchi_conjugation_oracle(ctx.sym, l, n, eigs)
+        blocks[n] = sekiguchi_conjugation_oracle(ctx.sym, l, n, eigs)
+    ctx._sek[l] = GradedOp.from_field(0, blocks, field)
     outcomes = {o.id: o for o in (run() for run in _spectrum_checks(ctx))}
     assert sorted(outcomes) == ["spectrum(%d)" % m for m in (1, 2, 3, 4)]
     bad = outcomes.pop("spectrum(%d)" % l)

@@ -70,7 +70,7 @@ def test_jack_eigenvalues_match_the_conjugation_oracle(shc6):
             [F.from_int(len(lam)) if i == j else F.zero for j in range(len(ps))]
             for i, lam in enumerate(ps)
         ]
-    lengths = GradedOp(0, blocks, F)
+    lengths = GradedOp.from_field(0, blocks, F)
     ops = [shc6.e_operator(0, h) for h in range(5)] + [ctx.sekiguchi(2), lengths]
     for op in ops:
         for n in sorted(op.blocks):
@@ -118,3 +118,22 @@ def test_fit_arbitration_selects_one_convention(shc6):
 def test_builtin_symbolic_checks(shc6):
     assert shc6.e0_symbolic_check().status == "pass"
     assert shc6.preset_check(hmax=2).status == "pass"
+
+
+def test_jack_eigenvalues_are_read_once_per_operator_and_degree(ctx6, monkeypatch):
+    # the split-independence checks and both fits read the eigenvalues of
+    # e_operator(0, h) at degree n from one call per (h, n)
+    calls = []
+    original = type(ctx6).jack_eigenvalues
+
+    def counted(self, op, n):
+        calls.append((id(op), n))
+        return original(self, op, n)
+
+    monkeypatch.setattr(type(ctx6), "jack_eigenvalues", counted)
+    shc = ShcContext(ctx6)
+    shc.split_independence_checks(4)
+    outs = shc.fit_arbitration_check(4)
+    assert outs[-1].status == "pass"
+    assert len(calls) == len(set(calls)) > 0
+    assert {n for _, n in calls} == set(range(ctx6.N))

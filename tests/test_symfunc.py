@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import (
+    identity_matrix,
     jack_matrix_inv_oracle,
     jack_matrix_oracle,
     jack_norms_oracle,
@@ -78,7 +79,7 @@ def test_pairing_diagonal_on_power_sums():
     for n in range(1, 5):
         parts = partitions_of(n)
         diag = S.gram_diag(n)
-        unit = linalg.identity(len(parts), F)
+        unit = identity_matrix(len(parts), F)
         for i, lam in enumerate(parts):
             expect = F.from_int(z_factor(lam)) / k ** len(lam)
             assert diag[i] == expect
@@ -90,7 +91,7 @@ def test_pairing_diagonal_on_power_sums():
 
 def test_p_m_roundtrip():
     for n in range(1, 6):
-        assert linalg.mat_mul(S.m_to_p(n), S.p_to_m(n), F) == linalg.identity(
+        assert linalg.mat_mul(S.m_to_p(n), S.p_to_m(n), F) == identity_matrix(
             len(partitions_of(n)), F
         )
         assert S.m_to_p(n) == mat_inv_oracle(S.p_to_m(n), F)
@@ -100,7 +101,7 @@ def test_jack_matrix_inverse():
     for n in range(1, 5):
         M = S.jack_matrix(n)
         Minv = jack_matrix_inv_oracle(S, n)
-        assert linalg.mat_mul(M, Minv, F) == linalg.identity(len(M), F)
+        assert linalg.mat_mul(M, Minv, F) == identity_matrix(len(M), F)
 
 
 def test_jack_inverse_from_orthogonality_matches_gauss_jordan():
