@@ -155,6 +155,22 @@ def test_flattened_operators_certify_the_oracle_rank(pair):
         assert 0 < want < len(words)
 
 
+def test_kappa_polynomial_denominators_match_the_oracle(ctx6):
+    # scalars with kappa-polynomial denominators give an operator
+    # denominator in Z[kappa]; sums over two such denominators and
+    # products still equal the oracle
+    F = ctx6.field
+    d1, s2 = ctx6.d1(1), ctx6.sekiguchi(2)
+    a = F.one / (F.kappa + F.one)
+    b = F.kappa / (F.kappa * F.kappa - F.from_int(2))
+    x = d1.scale(a) + d1.compose(s2).scale(b)
+    rx = FieldOp.of(d1).scale(a) + FieldOp.of(d1).compose(FieldOp.of(s2)).scale(b)
+    assert len(x.den) == 4
+    assert_matches(x, rx)
+    assert_matches(s2.scale(b).compose(x), FieldOp.of(s2).scale(b).compose(rx))
+    assert_matches(x - x, rx - rx)
+
+
 # -- the slot bound at its edge ----------------------------------------------
 
 
