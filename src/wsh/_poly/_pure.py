@@ -22,6 +22,8 @@ def pnormalize(cs):
 def padd(a, b):
     if len(a) < len(b):
         a, b = b, a
+    if not b:
+        return a
     out = list(a)
     for i, c in enumerate(b):
         out[i] += c
@@ -29,6 +31,10 @@ def padd(a, b):
 
 
 def psub(a, b):
+    if not b:
+        return a
+    if not a:
+        return pneg(b)
     out = list(a) + [0] * (len(b) - len(a))
     for i, c in enumerate(b):
         out[i] -= c

@@ -8,11 +8,12 @@ A "field context" object bundles the distinguished element kappa with
 element constructors.  Two contexts are provided: the exact field Q(kappa)
 and a specialization kappa -> rational, whose elements are plain Fractions.
 Scalars, free-algebra coefficients, series and the Jack basis compute with
-the context's elements.  Operators do not: a ``GradedOp`` holds ints in
-the ring its entries lie in, and meets field elements only as scalars and
-when a block is decoded.  The fraction-free kernels of linalg, multipoly,
-shuffle, symfunc and operators branch on ``field.mode``, to clear
-denominators into Z[kappa] or into the integers.
+the context's elements.  Operators do not: a ``GradedOp`` holds integer
+kappa-polynomials (coefficient tuples), or ints when kappa is specialized,
+and meets field elements only as scalars and when a block is decoded.  The
+fraction-free kernels of linalg, multipoly, shuffle, symfunc and operators
+branch on ``field.mode``, to clear denominators into Z[kappa] or into the
+integers.
 """
 
 from __future__ import annotations

@@ -2,24 +2,29 @@
 
 Three layers:
 
-* int kernels for matrices in the ring their entries lie in: the product
-  of int matrices (``_int_mat_mul``) and the Kronecker packing of integer
-  kappa-polynomials into ints (``_pack``, ``_unpack``, ``_repack``,
-  ``_slot_width``).  ``operators.GradedOp`` computes with these directly;
+* ring matrix products: the product of int matrices (``_int_mat_mul``)
+  and, on matrices of integer kappa-polynomials (coefficient tuples),
+  ``ring_mat_mul``, which packs the entries into ints by Kronecker
+  substitution (``_pack``, ``_unpack``) and is the one place where an
+  exact matrix product picks its slot width (``_slot_width``).
+  ``operators.GradedOp.compose`` is one of these products per block;
 * field-element matrices: a fraction-free product (``mat_mul``), which
-  multiplies in Z[kappa] and reduces each result entry once, for the
-  Jack-basis products and the eigenvalues of decoded operator blocks;
+  clears denominators once per row and column, multiplies the
+  numerators with a ring product and reduces each result entry once, for
+  the Jack-basis products and the eigenvalues of decoded operator blocks;
 * one fraction-free echelon form ("SpanBasis") on primitive rows in the
-  ring: integer kappa-polynomials (coefficient tuples) in exact mode,
-  plain ints when kappa is specialized.  Rank, membership and the rank
-  certificates at rational kappa points all go through it; a certificate
-  evaluates its rows with integer Horner.
+  ring: integer kappa-polynomials in exact mode, plain ints when kappa is
+  specialized.  Rank, membership and the rank certificates at rational
+  kappa points all go through it; a certificate evaluates its rows with
+  integer Horner.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd
+from operator import mul
 
 from . import _poly as P
 from .field import FieldElem, SpecializedField
@@ -35,52 +40,65 @@ def mat_mul(A, B, field):
     """Exact product A·B, fraction-free.
 
     Each row of A and each column of B is brought to a common denominator
-    once; the integer kappa-polynomial numerators are packed into ints
-    (plain ints when kappa is specialized) and accumulated with int
-    arithmetic, and each result entry is reduced once, from its numerator
-    over row_den[i]·col_den[j].
+    once; the numerators, integer kappa-polynomials (plain ints when
+    kappa is specialized), are multiplied with ``ring_mat_mul``
+    (``_int_mat_mul``), and each result entry is reduced once, from its
+    numerator over row_den[i]·col_den[j].
     """
     if A and len(A[0]) != len(B):
         raise ValueError("dimension mismatch")
-    nb = len(B[0]) if B else 0
-    zero = field.zero
     if field.mode == "specialized":
-        rows = [_common_int_denominator(row) for row in A]
-        cols = [_common_int_denominator(col) for col in zip(*B)]
-        acc = _int_mat_mul(
-            [nums for _, nums in rows], list(zip(*[nums for _, nums in cols])), nb
+        common, product, elem, times = (
+            _common_int_denominator, _int_mat_mul, Fraction, mul
         )
-        return [
-            [
-                Fraction(num, rden * cden) if num else zero
-                for num, (cden, _) in zip(accrow, cols)
-            ]
-            for accrow, (rden, _) in zip(acc, rows)
-        ]
-    rows = [_common_denominator(row) for row in A]
-    cols = [_common_denominator(col) for col in zip(*B)]
-    w = _slot_width(
-        len(B)
-        * max((_norm1(a) for _, nums in rows for a in nums), default=0)
-        * max((_norm_inf(b) for _, nums in cols for b in nums), default=0)
-    )
-    acc = _int_mat_mul(
-        [[_pack(a, w) for a in nums] for _, nums in rows],
-        list(zip(*[[_pack(b, w) for b in nums] for _, nums in cols])),
-        nb,
-    )
-    pmul = P.pmul
+    else:
+        common, product, elem, times = (
+            _common_denominator, ring_mat_mul, FieldElem, P.pmul
+        )
+    rows = [common(row) for row in A]
+    cols = [common(col) for col in zip(*B)]
+    acc = product([nums for _, nums in rows], list(zip(*[nums for _, nums in cols])))
+    zero = field.zero
     return [
         [
-            FieldElem(_unpack(num, w), pmul(rden, cden)) if num else zero
+            elem(num, times(rden, cden)) if num else zero
             for num, (cden, _) in zip(accrow, cols)
         ]
         for accrow, (rden, _) in zip(acc, rows)
     ]
 
 
-def _int_mat_mul(A, B, nb):
-    """Product of int matrices given by their rows; B has nb columns."""
+def ring_mat_mul(A, B):
+    """Product of matrices of integer kappa-polynomials (coefficient
+    tuples, zero the empty tuple), given by their rows, by Kronecker
+    substitution: every entry is packed into one int at a slot width
+    measured from the operands, the int matrices are multiplied
+    (``_int_mat_mul``) and each result entry is unpacked.  A coefficient
+    of a result entry is a sum of at most inner·(min degree + 1) products
+    of a coefficient of A and one of B, which bounds it."""
+    ca, la = _extent(A)
+    cb, lb = _extent(B)
+    w = _slot_width(len(B) * min(la, lb) * ca * cb)
+    acc = _int_mat_mul(
+        [[_pack(a, w) if a else 0 for a in row] for row in A],
+        [[_pack(b, w) if b else 0 for b in row] for row in B],
+    )
+    return [[_unpack(x, w) if x else () for x in row] for row in acc]
+
+
+def _extent(M):
+    """The largest absolute coefficient and the largest length of the
+    entries of a matrix of integer polynomials."""
+    entries = list(chain.from_iterable(M))
+    coeffs = list(chain.from_iterable(entries))
+    if not coeffs:
+        return 0, 0
+    return max(max(coeffs), -min(coeffs)), max(map(len, entries))
+
+
+def _int_mat_mul(A, B):
+    """Product of int matrices given by their rows."""
+    nb = len(B[0]) if B else 0
     out = []
     for anums in A:
         acc = [0] * nb
@@ -161,33 +179,9 @@ def _unpack(n, w):
     return tuple(out)
 
 
-def _repack(n, w, v):
-    """The packed value n at slot width w, packed again at width v."""
-    out = shift = 0
-    mask = (1 << w) - 1
-    half = 1 << (w - 1)
-    while n:
-        c = n & mask
-        if c >= half:
-            c -= 1 << w
-        out += c << shift
-        shift += v
-        n = (n - c) >> w
-    return out
-
-
 # ----------------------------------------------------------------------
 # fraction-free echelon machinery
 # ----------------------------------------------------------------------
-
-
-def clear_denominators(vec, field):
-    """Field-element vector -> primitive row: the numerators over the
-    common denominator with their content stripped; ints when kappa is
-    specialized, integer kappa-polynomials otherwise."""
-    if field.mode == "specialized":
-        return _strip_int_content(_common_int_denominator(vec)[1])
-    return _strip_content(_common_denominator(vec)[1])
 
 
 def primitive(row, field):
@@ -254,10 +248,6 @@ class SpanBasis:
                 row = self._eliminate(row, b, piv)
         return row
 
-    def add(self, vec) -> bool:
-        """Insert a vector; True when it enlarges the span."""
-        return self.add_row(clear_denominators(vec, self.field))
-
     def add_row(self, row) -> bool:
         row = self._reduce_row(row)
         piv = next((j for j, p in enumerate(row) if p), None)
@@ -267,18 +257,8 @@ class SpanBasis:
         self.rows.sort(key=lambda t: t[0])
         return True
 
-    def contains(self, vec) -> bool:
-        return self.contains_row(clear_denominators(vec, self.field))
-
     def contains_row(self, row) -> bool:
         return not any(self._reduce_row(row))
-
-
-def rank_of_vectors(vectors, field) -> int:
-    basis = SpanBasis(field)
-    for v in vectors:
-        basis.add(v)
-    return basis.dim
 
 
 # ----------------------------------------------------------------------

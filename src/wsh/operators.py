@@ -6,13 +6,13 @@ coordinates.  The matrices are kept in the ring their entries lie in, not
 in the field: every entry of the D_{r,d} is an integer kappa-polynomial,
 up to one int denominator per operator (the z-ratios of the lowering
 operators, rational scalars such as the 1/2 of the quadratic relation), so
-a block is an int matrix, Kronecker-packed Z[kappa] numerators in exact
-mode and ints over one denominator at kappa = p/q (GradedOp).  Compose,
-sums, scaling and the zero test are int arithmetic; field elements appear
-only where a block is decoded (``GradedOp.block``), for the Jack-basis
-eigenvalues and the tests.  Every identity check reports the window of
-source degrees it actually verified; a pass is always a pass-on-window
-claim.
+a block holds Z[kappa] numerators as coefficient tuples in exact mode and
+ints at kappa = p/q, over one denominator (GradedOp).  Compose is a ring
+matrix product, and sums, scaling and the zero test are ring arithmetic;
+field elements appear only where a block is decoded (``GradedOp.block``),
+for the Jack-basis eigenvalues and the tests.  Every identity check
+reports the window of source degrees it actually verified; a pass is
+always a pass-on-window claim.
 
 The relations of the presentation are not written here: OpContext
 realizes the free-algebra relation elements of ``presentation`` on its
@@ -31,7 +31,7 @@ from . import _poly as P
 from . import linalg
 from .checks import CheckOutcome, zero_check
 from .field import FieldElem
-from .linalg import _int_mat_mul, _norm1, _pack, _repack, _slot_width, _unpack
+from .linalg import _int_mat_mul, ring_mat_mul
 from .partitions import add_part, partitions_of
 from .presentation import T0, T1, FreeAlgebra, Realization
 from .symfunc import SymmetricFunctions
@@ -57,54 +57,32 @@ FREE_RELATIONS = {
 
 
 class GradedOp:
-    """Homogeneous operator of a fixed rank: one int matrix per source
-    degree on its validity window, all over one denominator ``den``.
+    """Homogeneous operator of a fixed rank: one matrix per source degree
+    on its validity window, with its entries in the ring they lie in, all
+    over one denominator ``den`` (default 1).
 
-    Exact mode: an entry is a Z[kappa] numerator Kronecker-packed at the
-    operator's slot width ``width`` (``linalg._pack``), with every
-    coefficient at most ``bound`` in absolute value and kappa-degree at
-    most ``degree``, so bound < 2^(width-1); ``den`` is an integer
-    kappa-polynomial with positive leading coefficient, a constant for
-    every operator the suites build.  The bound is proved through
-    ``compose``, ``+``, ``-`` and ``scale``; an operand is repacked at a
-    wider slot only when the bound of a result needs one.
-    Specialized mode (kappa = p/q): an entry is an int, ``den`` a positive
-    int, and width, bound and degree are None.
+    Exact mode: an entry is an integer kappa-polynomial, a coefficient
+    tuple with no trailing zeros (zero is ``()``), and ``den`` is one with
+    positive leading coefficient, a constant for every operator the suites
+    build.  Specialized mode (kappa = p/q): an entry is an int and ``den``
+    a positive int.
 
-    ``block(n)`` decodes one block into field elements, for the Jack-basis
-    products and the tests; the operator algebra never does.
+    ``compose`` is one ring matrix product per block (``linalg.
+    ring_mat_mul``, or ``linalg._int_mat_mul`` on ints); ``+``, ``-`` and
+    ``scale`` work entrywise on the numerators.  ``block(n)`` decodes one
+    block into field elements, for the Jack-basis products and the tests;
+    the operator algebra never does.
     """
 
-    __slots__ = ("rank", "blocks", "field", "den", "width", "bound", "degree")
+    __slots__ = ("rank", "blocks", "field", "den")
 
-    def __init__(self, rank, blocks, field, den, width=None, bound=None,
-                 degree=None):
+    def __init__(self, rank, blocks, field, den=None):
         if not blocks:
             raise WindowError("truncation too small: empty validity window")
         self.rank = rank
         self.blocks = blocks
         self.field = field
-        self.den = den
-        self.width = width
-        self.bound = bound
-        self.degree = degree
-
-    @classmethod
-    def from_ring(cls, rank, blocks, field, den=None):
-        """The operator with the given ring entries over ``den`` (default
-        1): integer kappa-polynomials (coefficient tuples) in exact mode,
-        packed at the narrowest slot their coefficients allow, and ints
-        when kappa is specialized."""
-        if field.mode == "specialized":
-            return cls(rank, blocks, field, den or 1)
-        entries = [p for b in blocks.values() for row in b for p in row]
-        bound = max((abs(c) for p in entries for c in p), default=0)
-        degree = max(max(map(len, entries), default=0) - 1, 0)
-        w = _slot_width(bound)
-        packed = {
-            n: [[_pack(p, w) for p in row] for row in b] for n, b in blocks.items()
-        }
-        return cls(rank, packed, field, den or _ONE, w, bound, degree)
+        self.den = den or _ring(field)[1]
 
     @classmethod
     def from_field(cls, rank, blocks, field):
@@ -120,7 +98,7 @@ class GradedOp:
         ring = {
             n: [[next(it) for _ in row] for row in b] for n, b in blocks.items()
         }
-        return cls.from_ring(rank, ring, field, den)
+        return cls(rank, ring, field, den)
 
     @property
     def window(self):
@@ -131,12 +109,8 @@ class GradedOp:
         if n not in self.blocks:
             raise WindowError("degree %d outside operator window" % n)
         zero, den = self.field.zero, self.den
-        if self.field.mode == "specialized":
-            return [[Fraction(x, den) if x else zero for x in row]
-                    for row in self.blocks[n]]
-        w = self.width
-        return [[_field_elem(_unpack(x, w), den) if x else zero for x in row]
-                for row in self.blocks[n]]
+        elem = Fraction if self.field.mode == "specialized" else FieldElem
+        return [[elem(x, den) if x else zero for x in row] for row in self.blocks[n]]
 
     def _common(self, other):
         if self.rank != other.rank:
@@ -146,53 +120,37 @@ class GradedOp:
             raise WindowError("truncation too small: empty validity window")
         return degs
 
-    def _at(self, w, degs):
-        """The blocks at source degrees degs, packed at slot width
-        w >= self.width."""
-        v = self.width
-        if w == v:
-            return self.blocks
-        return {
-            n: [[_repack(x, v, w) if x else 0 for x in row] for row in self.blocks[n]]
-            for n in degs
-        }
-
-    def _combine(self, other, op):
-        """self op other over the least common multiple of the two
-        denominators, self.den·ka = other.den·kb."""
+    def _combine(self, other, int_op, poly_op):
+        """self op other, entrywise with int_op on ints and poly_op on
+        integer kappa-polynomials, over the least common multiple of the
+        two denominators, self.den·ka = other.den·kb."""
         degs = self._common(other)
         da, db = self.den, other.den
         if self.field.mode == "specialized":
             g = gcd(da, db)
             ka, kb = db // g, da // g
-            den, A, B, fmt = da * ka, self.blocks, other.blocks, ()
+            one, den, times, op = 1, da * ka, _times_int, int_op
         else:
-            fa = fb = _ONE
+            ka = kb = one = _ONE
             if da != db:
                 g = P.pgcd(da, db)
-                fa, fb = P.pdivexact(db, g), P.pdivexact(da, g)
-            den = P.pmul(da, fa)
-            bound = self.bound * _norm1(fa) + other.bound * _norm1(fb)
-            degree = max(self.degree + len(fa), other.degree + len(fb)) - 1
-            w = max(self.width, other.width, _slot_width(bound))
-            A, B = self._at(w, degs), other._at(w, degs)
-            ka, kb = _pack(fa, w), _pack(fb, w)
-            fmt = (w, bound, degree)
+                ka, kb = P.pdivexact(db, g), P.pdivexact(da, g)
+            den, times, op = P.pmul(da, ka), _times_poly, poly_op
         blocks = {}
         for n in degs:
-            a, b = A[n], B[n]
-            if ka != 1:
-                a = [[x * ka for x in row] for row in a]
-            if kb != 1:
-                b = [[x * kb for x in row] for row in b]
+            a, b = self.blocks[n], other.blocks[n]
+            if ka != one:
+                a = times(a, ka)
+            if kb != one:
+                b = times(b, kb)
             blocks[n] = [list(map(op, ra, rb)) for ra, rb in zip(a, b)]
-        return GradedOp(self.rank, blocks, self.field, den, *fmt)
+        return GradedOp(self.rank, blocks, self.field, den)
 
     def __add__(self, other):
-        return self._combine(other, add)
+        return self._combine(other, add, P.padd)
 
     def __sub__(self, other):
-        return self._combine(other, sub)
+        return self._combine(other, sub, P.psub)
 
     def scale(self, c):
         """c times the operator, c a field element or an int."""
@@ -202,8 +160,7 @@ class GradedOp:
             m, d = c.numerator, c.denominator
             g = gcd(m, self.den)
             m //= g
-            den, fmt = self.den // g * d, ()
-            blocks = self.blocks
+            one, den, times = 1, self.den // g * d, _times_int
         else:
             m, d = (c.num, c.den) if isinstance(c, FieldElem) else ((c,), _ONE)
             g = gcd(gcd(*m), *self.den)
@@ -213,20 +170,16 @@ class GradedOp:
                 den = tuple(x // g for x in den)
             if d != _ONE:
                 den = P.pmul(den, d)
-            bound = self.bound * _norm1(m)
-            w = max(self.width, _slot_width(bound))
-            fmt = (w, bound, self.degree + len(m) - 1)
-            blocks = self._at(w, self.blocks)
-            m = _pack(m, w)
-        if m != 1:
-            blocks = {n: [[x * m for x in row] for row in b] for n, b in blocks.items()}
-        return GradedOp(self.rank, blocks, self.field, den, *fmt)
+            one, times = _ONE, _times_poly
+        blocks = self.blocks
+        if m != one:
+            blocks = {n: times(b, m) for n, b in blocks.items()}
+        return GradedOp(self.rank, blocks, self.field, den)
 
     def _zero(self):
-        blocks = {n: [[0] * len(row) for row in b] for n, b in self.blocks.items()}
-        if self.field.mode == "specialized":
-            return GradedOp(self.rank, blocks, self.field, 1)
-        return GradedOp(self.rank, blocks, self.field, _ONE, self.width, 0, 0)
+        zero = _ring(self.field)[0]
+        blocks = {n: [[zero] * len(row) for row in b] for n, b in self.blocks.items()}
+        return GradedOp(self.rank, blocks, self.field)
 
     def zero_extended(self, n):
         """The operator with a zero block added at source degree n."""
@@ -234,9 +187,8 @@ class GradedOp:
             return self
         rows, cols = len(partitions_of(n + self.rank)), len(partitions_of(n))
         blocks = dict(self.blocks)
-        blocks[n] = [[0] * cols for _ in range(rows)]
-        return GradedOp(self.rank, blocks, self.field, self.den, self.width,
-                        self.bound, self.degree)
+        blocks[n] = [[_ring(self.field)[0]] * cols for _ in range(rows)]
+        return GradedOp(self.rank, blocks, self.field, self.den)
 
     def compose(self, other):
         """self after other (operator product self . other)."""
@@ -246,21 +198,12 @@ class GradedOp:
         if not pairs:
             raise WindowError("truncation too small: empty validity window")
         if self.field.mode == "specialized":
-            A, B, fmt = self.blocks, other.blocks, ()
-            den = self.den * other.den
+            product, den = _int_mat_mul, self.den * other.den
         else:
-            # a coefficient of an entry of the product is a sum, over the
-            # inner dimension, of coefficients of products of two entries
-            inner = max(len(other.blocks[n]) for n, _ in pairs)
-            terms = inner * (min(self.degree, other.degree) + 1)
-            bound = terms * self.bound * other.bound
-            w = max(self.width, other.width, _slot_width(bound))
-            A = self._at(w, [m for _, m in pairs])
-            B = other._at(w, [n for n, _ in pairs])
-            fmt = (w, bound, self.degree + other.degree)
-            den = P.pmul(self.den, other.den)
-        blocks = {n: _int_mat_mul(A[m], B[n], len(B[n][0])) for n, m in pairs}
-        return GradedOp(self.rank + other.rank, blocks, self.field, den, *fmt)
+            product, den = ring_mat_mul, P.pmul(self.den, other.den)
+        A, B = self.blocks, other.blocks
+        blocks = {n: product(A[m], B[n]) for n, m in pairs}
+        return GradedOp(self.rank + other.rank, blocks, self.field, den)
 
     def commutator(self, other):
         return self.compose(other) - other.compose(self)
@@ -282,17 +225,13 @@ class GradedOp:
     def flatten(self):
         """Row-major concatenation of the block numerators, degree-major,
         fixed partition order, with their integer content stripped: a
-        primitive ring row (coefficient tuples in exact mode, ints when
-        kappa is specialized) for ``SpanBasis.add_row`` and the rank
+        primitive ring row for ``SpanBasis.add_row`` and the rank
         certificates.  It is the flattened operator times a nonzero
         element of the field, which changes no rank."""
         out = []
         for n in sorted(self.blocks):
             for row in self.blocks[n]:
                 out.extend(row)
-        if self.field.mode == "exact":
-            w = self.width
-            out = [_unpack(x, w) for x in out]
         return linalg.primitive(out, self.field)
 
     @staticmethod
@@ -301,17 +240,23 @@ class GradedOp:
         return [op.flatten() for op in ops]
 
 
-def _field_elem(p, den):
-    """The field element p/den of integer kappa-polynomials, den with
-    positive leading coefficient."""
-    if den == _ONE:
-        return FieldElem(p, _ONE, _reduced=True)
-    if len(den) > 1:
-        return FieldElem(p, den)
-    g = gcd(gcd(*p), den[0])
-    if g > 1:
-        p = tuple(c // g for c in p)
-    return FieldElem(p, (den[0] // g,), _reduced=True)
+def _ring(field):
+    """The zero and the one of the ring the operator entries lie in."""
+    return (0, 1) if field.mode == "specialized" else ((), _ONE)
+
+
+def _times_int(block, k):
+    """An int block times the int k."""
+    return [[x * k for x in row] for row in block]
+
+
+def _times_poly(block, k):
+    """A block of integer kappa-polynomials times the nonzero one k."""
+    if len(k) > 1:
+        pmul = P.pmul
+        return [[pmul(x, k) for x in row] for row in block]
+    (c,) = k
+    return [[tuple([a * c for a in x]) for x in row] for row in block]
 
 
 def zero_or_skip(cid, build) -> CheckOutcome:
@@ -344,8 +289,6 @@ class OpContext:
         self._dprime = {}
         self._lower = {}
         self._spans = {}
-        # zero and one of the ring the operator entries lie in
-        self._ring = (0, 1) if field.mode == "specialized" else ((), _ONE)
         self.free = FreeAlgebra(field, L=None, K=None)
         self.realize = Realization(
             {T0: self.sekiguchi, T1: self.d1},
@@ -367,7 +310,7 @@ class OpContext:
         if not 1 <= l <= self.N:
             raise WindowError("power-sum degree %d beyond truncation" % l)
         if l not in self._mult:
-            zero, one = self._ring
+            zero, one = _ring(self.field)
             blocks = {}
             for n in range(0, self.N - l + 1):
                 src = partitions_of(n)
@@ -377,17 +320,17 @@ class OpContext:
                 for j, lam in enumerate(src):
                     mat[idx[add_part(lam, l)]][j] = one
                 blocks[n] = mat
-            self._mult[l] = GradedOp.from_ring(l, blocks, self.field)
+            self._mult[l] = GradedOp(l, blocks, self.field)
         return self._mult[l]
 
     def identity_op(self) -> GradedOp:
         """Rank-0 identity on every degree of the truncation window."""
-        zero, one = self._ring
+        zero, one = _ring(self.field)
         blocks = {}
         for n in range(self.N + 1):
             k = len(partitions_of(n))
             blocks[n] = [[one if i == j else zero for j in range(k)] for i in range(k)]
-        return GradedOp.from_ring(0, blocks, self.field)
+        return GradedOp(0, blocks, self.field)
 
     def sekiguchi(self, l) -> GradedOp:
         """The commuting rank-0 operator D_{0,l}, diagonal on the Jack basis
@@ -404,7 +347,7 @@ class OpContext:
             for i, m in enumerate(missing):
                 den = built[0][i][0]
                 blocks = {n: mats[i][1] for n, mats in enumerate(built)}
-                self._sek[m] = GradedOp.from_ring(0, blocks, self.field, den)
+                self._sek[m] = GradedOp(0, blocks, self.field, den)
         return self._sek[l]
 
     def d1(self, k) -> GradedOp:

@@ -489,6 +489,38 @@ def fraction_rank_oracle(rows) -> int:
     return rank
 
 
+def clear_denominators(vec, field):
+    """Field-element vector -> primitive row: the numerators over the
+    common denominator with their content stripped; ints when kappa is
+    specialized, integer kappa-polynomials otherwise."""
+    common = (
+        linalg._common_int_denominator
+        if field.mode == "specialized"
+        else linalg._common_denominator
+    )
+    return linalg.primitive(common(vec)[1], field)
+
+
+class FieldSpan(linalg.SpanBasis):
+    """``linalg.SpanBasis`` fed with field-element vectors, each cleared
+    of denominators (``clear_denominators``) on the way in."""
+
+    def add(self, vec) -> bool:
+        """Insert a vector; True when it enlarges the span."""
+        return self.add_row(clear_denominators(vec, self.field))
+
+    def contains(self, vec) -> bool:
+        return self.contains_row(clear_denominators(vec, self.field))
+
+
+def rank_of_vectors(vectors, field) -> int:
+    """Rank of field-element vectors by the fraction-free echelon."""
+    basis = FieldSpan(field)
+    for v in vectors:
+        basis.add(v)
+    return basis.dim
+
+
 def kernel_of_vectors(vectors, field):
     """Left kernel of the list: (rank, kernel), kernel holding coefficient
     vectors a with sum a_i v_i = 0, one per dependency.  Each vector is
@@ -499,7 +531,7 @@ def kernel_of_vectors(vectors, field):
     if not vectors:
         return 0, []
     m, k = len(vectors[0]), len(vectors)
-    basis = linalg.SpanBasis(field)
+    basis = FieldSpan(field)
     # zero and one of the row ring, and its map into the field
     if field.mode == "specialized":
         zero, one, to_field = 0, 1, field.from_int
@@ -508,7 +540,7 @@ def kernel_of_vectors(vectors, field):
     kernel = []
     scales = []  # cleared row = scale * original vector, per vector
     for i, v in enumerate(vectors):
-        row = linalg.clear_denominators(v, field)
+        row = clear_denominators(v, field)
         j = next((j for j, p in enumerate(row) if p), None)
         scales.append(field.one if j is None else to_field(row[j]) / v[j])
         tail = [zero] * k

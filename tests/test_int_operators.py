@@ -11,6 +11,7 @@ from conftest import (
     FieldOpContext,
     evaluate_vectors_oracle,
     fraction_rank_oracle,
+    mat_is_zero,
 )
 
 from wsh import linalg
@@ -171,13 +172,79 @@ def test_kappa_polynomial_denominators_match_the_oracle(ctx6):
     assert_matches(x - x, rx - rx)
 
 
+# -- canonical entries ---------------------------------------------------------
+
+
+def _canonical(op):
+    """Every entry is () or a coefficient tuple with a nonzero last
+    coefficient."""
+    return all(
+        type(x) is tuple and (not x or x[-1] != 0) and all(type(c) is int for c in x)
+        for b in op.blocks.values()
+        for row in b
+        for x in row
+    )
+
+
+def test_exact_entries_are_canonical(ctx6):
+    F = ctx6.field
+    k = F.kappa
+    d1, s2, s3, low = ctx6.d1(1), ctx6.sekiguchi(2), ctx6.sekiguchi(3), ctx6.lowering(1)
+    # (1 + kappa) x - kappa x cancels the leading coefficient of every entry
+    # of d1 and d1·s2, and x - x every coefficient
+    ops = {
+        "from_field": low,
+        "compose": d1.compose(s2),
+        "+": d1.scale(k + 1) + d1.compose(s2).scale(-k),
+        "-": d1.scale(k + 1) - d1.scale(k),
+        "- mixed denominators": low.scale(F.one / 3) - low.scale(F.one / 2),
+        "x - x": d1 - d1,
+        "commutator": s2.commutator(s3),
+        "scale by an int": d1.scale(-2),
+        "scale by kappa": s2.scale(k),
+        "scale by a fraction": low.scale(F.from_int(6) / (k * k + 2)),
+        "scale by zero": d1.scale(F.zero),
+        "zero_extended": low.compose(d1).zero_extended(0),
+        "zero operator": s2._zero(),
+    }
+    for name, op in ops.items():
+        assert _canonical(op), name
+        assert _canonical(op.scale(F.from_int(3))), name
+    assert ops["-"] == d1 and ops["x - x"].is_zero()
+
+
+def _first_failing_block(ref):
+    """FieldOp's first source degree with a nonzero block, or None."""
+    return next(
+        (n for n in sorted(ref.blocks) if not mat_is_zero(ref.blocks[n], ref.field)),
+        None,
+    )
+
+
+def test_zero_tests_on_cancelling_operators_agree_with_the_oracle(pair):
+    ctx, ref = pair
+    cases = [
+        (ctx.d1(2) - ctx.d1(2), ref.d1(2) - ref.d1(2)),
+        (ctx.sekiguchi(2).commutator(ctx.sekiguchi(3)),
+         ref.sekiguchi(2).commutator(ref.sekiguchi(3))),
+        (ctx.sekiguchi(2).commutator(ctx.drd(1, 0)),
+         ref.sekiguchi(2).commutator(ref.drd(1, 0))),
+        (ctx.lowering(1).compose(ctx.d1(0)).zero_extended(0) - ctx.identity_op(),
+         ref.lowering(1).compose(ref.d1(0)) - ref.identity_op()),
+    ]
+    got = [(op.is_zero(), op.first_failing_block()) for op, _ in cases]
+    want = [(r.is_zero(), _first_failing_block(r)) for _, r in cases]
+    assert got == want
+    assert [z for z, _ in got] == [True, True, False, False]
+
+
 # -- the slot bound at its edge ----------------------------------------------
 
 
 def _single(F, rank, n, rows):
     """An exact operator with one block, at source degree n, from integer
     kappa-polynomial rows (coefficient tuples)."""
-    return GradedOp.from_ring(rank, {n: rows}, F)
+    return GradedOp(rank, {n: rows}, F)
 
 
 def test_coefficient_bound_attained_at_the_slot_edge():

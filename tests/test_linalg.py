@@ -6,12 +6,15 @@ from math import gcd
 
 import pytest
 from conftest import (
+    FieldSpan,
+    clear_denominators,
     evaluate_vectors_oracle,
     fraction_rank_oracle,
     identity_matrix,
     kernel_of_vectors,
     mat_inv_oracle,
     mat_mul_oracle,
+    rank_of_vectors,
 )
 
 from wsh import _poly as P
@@ -44,7 +47,7 @@ def test_mat_inv_singular():
 
 
 def test_span_basis_membership():
-    b = linalg.SpanBasis(F)
+    b = FieldSpan(F)
     assert b.add([F.one, F.kappa, F.zero])
     assert b.add([F.zero, F.one, F.one])
     assert not b.add([F.one, F.kappa + 1, F.one])  # dependent
@@ -59,7 +62,7 @@ def test_rank_of_vectors():
         [F.kappa, F.kappa * F.kappa],  # kappa times the first
         [F.zero, F.one],
     ]
-    assert linalg.rank_of_vectors(vecs, F) == 2
+    assert rank_of_vectors(vecs, F) == 2
 
 
 def test_kernel_vectors_annihilate_originals():
@@ -106,7 +109,7 @@ def test_rank_drops_only_at_special_points():
 
 
 def test_clear_denominators_strips_content():
-    row = linalg.clear_denominators([fe(2, 3), fe(4, 3)], F)
+    row = clear_denominators([fe(2, 3), fe(4, 3)], F)
     assert row == [(1,), (2,)]
 
 
@@ -186,7 +189,7 @@ def test_certified_rank_bound_cap_never_changes_the_bound():
     cases.append([[F.one, F.one], [F.one, F.kappa / drop]])
     for vecs in cases:
         full = linalg.certified_rank_bound(vecs)
-        rank = linalg.rank_of_vectors(vecs, F)
+        rank = rank_of_vectors(vecs, F)
         for cap in range(rank, rank + 3):
             assert linalg.certified_rank_bound(vecs, cap=cap) == full
     assert linalg.rank_lower_bound(cases[-1]) == 1
@@ -247,6 +250,48 @@ def test_mat_mul_entries_at_the_slot_bound():
     assert got[0][0].num[2] == inner * 3 * m * m
 
 
+def test_ring_mat_mul_at_its_slot_edge(monkeypatch):
+    """Entries m(1 + kappa + ... + kappa^d) and inner dimension p: the
+    coefficient of kappa^d in the product is p(d+1)m², the bound the slot
+    width is measured from.  It decodes exactly at that width, and a width
+    one bit short decodes a wrong value."""
+    unpack, widths = linalg._unpack, set()
+
+    def recording(n, w):
+        widths.add(w)
+        return unpack(n, w)
+
+    monkeypatch.setattr(linalg, "_unpack", recording)
+    # k >= 2 keeps w - 1 >= 2: a one-bit slot holds only 0
+    for k in (2, 5, 16, 33):
+        m = 2**k - 1
+        for d in (0, 1, 2, 4):
+            for p in (1, 3, 8):
+                x = (m,) * (d + 1)
+                A, B = [[x] * p], [[x]] * p
+                want = P.pscale(P.pmul(x, x), p)
+                widths.clear()
+                assert linalg.ring_mat_mul(A, B) == [[want]]
+                assert want[d] == p * (d + 1) * m * m
+                assert widths == {linalg._slot_width(want[d])}
+                (w,) = widths
+                y = linalg._pack(x, w - 1)
+                ((short,),) = linalg._int_mat_mul([[y] * p], [[y]] * p)
+                assert unpack(short, w - 1) != want
+
+
+def test_ring_mat_mul_degenerate_shapes():
+    x, y = (3, 0, -1), (2,)
+    assert linalg.ring_mat_mul([[], []], []) == [[], []]  # zero inner dimension
+    assert linalg.ring_mat_mul([[x, y]], [[], []]) == [[]]  # zero columns
+    assert linalg.ring_mat_mul([], [[x]]) == []
+    # an all-zero operand on either side
+    assert linalg.ring_mat_mul([[(), ()]], [[x, y], [y, x]]) == [[(), ()]]
+    assert linalg.ring_mat_mul([[x, y], [y, x]], [[()], [()]]) == [[()], [()]]
+    # entries that cancel
+    assert linalg.ring_mat_mul([[x, x]], [[y], [P.pneg(y)]]) == [[()]]
+
+
 def _random_fraction_rows(rng, rows, cols):
     """Seeded Fraction rows: zeros, small entries of either sign, entries
     and denominators above 2^64; then a zero row, a duplicate, a negated
@@ -288,7 +333,7 @@ def test_specialized_rank_and_kernel_match_the_fraction_oracle():
         for rows, cols in _SHAPES:
             vecs = _random_fraction_rows(rng, rows, cols)
             want = fraction_rank_oracle(vecs)
-            assert linalg.rank_of_vectors(vecs, S) == want
+            assert rank_of_vectors(vecs, S) == want
             for pt in linalg.CERTIFICATE_POINTS:
                 assert linalg.rank_lower_bound(vecs, pt) == want
             rank, kernel = kernel_of_vectors(vecs, S)
@@ -307,7 +352,7 @@ def test_negative_pivots_match_the_fraction_oracle():
         [Fraction(-9), Fraction(4), Fraction(15, 2)],  # sum of the first two
         [Fraction(0), Fraction(-2**70), Fraction(1, 3)],
     ]
-    assert linalg.rank_of_vectors(vecs, S) == fraction_rank_oracle(vecs) == 3
+    assert rank_of_vectors(vecs, S) == fraction_rank_oracle(vecs) == 3
     rank, kernel = kernel_of_vectors(vecs, S)
     assert rank == 3 and len(kernel) == 1
     a = kernel[0]
@@ -334,7 +379,7 @@ def test_specialized_clear_denominators_returns_primitive_ints():
         [],
     ]
     for vec in cases:
-        row = linalg.clear_denominators(vec, S)
+        row = clear_denominators(vec, S)
         assert all(type(c) is int for c in row)
         assert not any(row) or gcd(*row) == 1
         # the row is a positive multiple of the vector
@@ -342,8 +387,8 @@ def test_specialized_clear_denominators_returns_primitive_ints():
         if j is not None:
             scale = row[j] / vec[j]
             assert scale > 0 and [scale * x for x in vec] == row
-    assert linalg.clear_denominators(cases[0], S) == [1, 2]
-    assert linalg.clear_denominators(cases[1], S) == [-4, 0, 3]
+    assert clear_denominators(cases[0], S) == [1, 2]
+    assert clear_denominators(cases[1], S) == [-4, 0, 3]
 
 
 def test_int_elimination_equals_degree_zero_polynomial_elimination():

@@ -4,10 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import kernel_of_vectors, multipoly_mul_oracle, star_product_oracle
+from conftest import (
+    FieldSpan,
+    kernel_of_vectors,
+    multipoly_mul_oracle,
+    star_product_oracle,
+)
 from test_multipoly import random_poly
 
-from wsh import linalg
 from wsh.field import RationalFunctionField, SpecializedField
 from wsh.multipoly import MultiPoly
 from wsh.operators import OpContext
@@ -113,7 +117,7 @@ def test_certified_relation_span_is_the_oracle_kernel(rank, field, dim):
     images = ShuffleElem.coordinates([sc.realize.word(w) for w in words])
     rank_, kernel = kernel_of_vectors(images, field)
     assert rank_ + dim == len(words) and len(kernel) == dim
-    span = linalg.SpanBasis(field)
+    span = FieldSpan(field)
     for el in rels:
         span.add([el.terms.get(w, field.zero) for w in words])
     assert span.dim == dim
