@@ -186,8 +186,8 @@ class GradedOp:
         if n in self.blocks:
             return self
         rows, cols = len(partitions_of(n + self.rank)), len(partitions_of(n))
-        blocks = dict(self.blocks)
-        blocks[n] = [[_ring(self.field)[0]] * cols for _ in range(rows)]
+        zero, blocks = _ring(self.field)[0], dict(self.blocks)
+        blocks[n] = [[zero] * cols for _ in range(rows)]
         return GradedOp(self.rank, blocks, self.field, self.den)
 
     def compose(self, other):

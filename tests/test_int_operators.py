@@ -1,6 +1,7 @@
 """Operators in the ring of their entries: every generator and relation
-operator against the field-entry oracle, the coefficient bound at the
-edge of its slot, and no field arithmetic in the operator algebra."""
+operator against the field-entry oracle, canonical exact entries,
+products at the edge of their slot, and no field arithmetic in the
+operator algebra."""
 
 from collections import Counter
 from fractions import Fraction
@@ -190,12 +191,13 @@ def test_exact_entries_are_canonical(ctx6):
     F = ctx6.field
     k = F.kappa
     d1, s2, s3, low = ctx6.d1(1), ctx6.sekiguchi(2), ctx6.sekiguchi(3), ctx6.lowering(1)
+    d1s2 = d1.compose(s2)
     # (1 + kappa) x - kappa x cancels the leading coefficient of every entry
     # of d1 and d1·s2, and x - x every coefficient
     ops = {
         "from_field": low,
-        "compose": d1.compose(s2),
-        "+": d1.scale(k + 1) + d1.compose(s2).scale(-k),
+        "compose": d1s2,
+        "+": d1s2.scale(k + 1) + d1s2.scale(-k),
         "-": d1.scale(k + 1) - d1.scale(k),
         "- mixed denominators": low.scale(F.one / 3) - low.scale(F.one / 2),
         "x - x": d1 - d1,
@@ -210,7 +212,7 @@ def test_exact_entries_are_canonical(ctx6):
     for name, op in ops.items():
         assert _canonical(op), name
         assert _canonical(op.scale(F.from_int(3))), name
-    assert ops["-"] == d1 and ops["x - x"].is_zero()
+    assert ops["+"] == d1s2 and ops["-"] == d1 and ops["x - x"].is_zero()
 
 
 def _first_failing_block(ref):
