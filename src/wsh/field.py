@@ -10,10 +10,11 @@ and a specialization kappa -> rational, whose elements are plain Fractions.
 Scalars, free-algebra coefficients, series and the Jack basis compute with
 the context's elements.  Operators do not: a ``GradedOp`` holds integer
 kappa-polynomials (coefficient tuples), or ints when kappa is specialized,
-and meets field elements only as scalars and when a block is decoded.  The
-fraction-free kernels of linalg, multipoly, shuffle, symfunc and operators
-branch on ``field.mode``, to clear denominators into Z[kappa] or into the
-integers.
+over an int denominator, and meets field elements only as scalars and
+when a block is decoded.  The conversions between field elements and that
+ring format are ``linalg.cleared`` and ``linalg.decoded``; the
+fraction-free kernels otherwise branch on ``field.mode`` only to pick a
+ring operation (Kronecker-packed Z[kappa] or plain ints).
 """
 
 from __future__ import annotations
@@ -226,10 +227,6 @@ class RationalFunctionField:
 
     def from_fraction(self, q):
         return FieldElem.from_fraction(q)
-
-    def from_poly(self, p):
-        """Element from an integer kappa-polynomial (coefficient tuple)."""
-        return FieldElem(tuple(p), _ONE, _reduced=True)
 
 
 class SpecializedField:

@@ -1,22 +1,24 @@
 """Exact dense linear algebra over the coefficient field and its rings.
 
-Three layers:
+Below the field there is one format: integer kappa-polynomials
+(coefficient tuples), or ints when kappa is specialized, over a
+denominator.  ``cleared`` and ``decoded`` convert field elements to it and
+back, and ``ring_row`` is a cleared vector without integer content.
+Three layers work on it:
 
 * ring matrix products: the product of int matrices (``_int_mat_mul``)
-  and, on matrices of integer kappa-polynomials (coefficient tuples),
-  ``ring_mat_mul``, which packs the entries into ints by Kronecker
-  substitution (``_pack``, ``_unpack``) and is the one place where an
-  exact matrix product picks its slot width (``_slot_width``).
-  ``operators.GradedOp.compose`` is one of these products per block;
+  and, on matrices of integer kappa-polynomials, ``ring_mat_mul``, which
+  packs the entries into ints by Kronecker substitution (``_pack``,
+  ``_unpack``) and is the one place where an exact matrix product picks
+  its slot width (``_slot_width``).  ``operators.GradedOp.compose`` is one
+  of these products per block;
 * field-element matrices: a fraction-free product (``mat_mul``), which
   clears denominators once per row and column, multiplies the
   numerators with a ring product and reduces each result entry once, for
   the Jack-basis products and the eigenvalues of decoded operator blocks;
-* one fraction-free echelon form ("SpanBasis") on primitive rows in the
-  ring: integer kappa-polynomials in exact mode, plain ints when kappa is
-  specialized.  Rank, membership and the rank certificates at rational
-  kappa points all go through it; a certificate evaluates its rows with
-  integer Horner.
+* one fraction-free echelon form ("SpanBasis") on primitive ring rows.
+  Rank, membership and the rank certificates at rational kappa points all
+  go through it; a certificate evaluates ring rows with integer Horner.
 """
 
 from __future__ import annotations
@@ -27,9 +29,23 @@ from math import gcd
 from operator import mul
 
 from . import _poly as P
-from .field import FieldElem, SpecializedField
+from .field import FieldElem
 
 _ONE = (1,)
+
+
+class _Integers:
+    """The integers as the coefficient ring of int rows and images."""
+
+    mode = "integer"
+    zero = 0
+    one = 1
+
+    def from_int(self, n):
+        return n
+
+
+INTEGERS = _Integers()
 
 # ----------------------------------------------------------------------
 # dense matrices: rows of field elements, or of ints in the ring kernels
@@ -40,23 +56,19 @@ def mat_mul(A, B, field):
     """Exact product A·B, fraction-free.
 
     Each row of A and each column of B is brought to a common denominator
-    once; the numerators, integer kappa-polynomials (plain ints when
-    kappa is specialized), are multiplied with ``ring_mat_mul``
-    (``_int_mat_mul``), and each result entry is reduced once, from its
-    numerator over row_den[i]·col_den[j].
+    once (``cleared``); the numerators are multiplied with
+    ``ring_mat_mul`` (``_int_mat_mul`` when kappa is specialized), and
+    each result entry is reduced once, from its numerator over
+    row_den[i]·col_den[j].
     """
     if A and len(A[0]) != len(B):
         raise ValueError("dimension mismatch")
     if field.mode == "specialized":
-        common, product, elem, times = (
-            _common_int_denominator, _int_mat_mul, Fraction, mul
-        )
+        product, elem, times = _int_mat_mul, Fraction, mul
     else:
-        common, product, elem, times = (
-            _common_denominator, ring_mat_mul, FieldElem, P.pmul
-        )
-    rows = [common(row) for row in A]
-    cols = [common(col) for col in zip(*B)]
+        product, elem, times = ring_mat_mul, FieldElem, P.pmul
+    rows = [cleared(row, field) for row in A]
+    cols = [cleared(col, field) for col in zip(*B)]
     acc = product([nums for _, nums in rows], list(zip(*[nums for _, nums in cols])))
     zero = field.zero
     return [
@@ -109,6 +121,32 @@ def _int_mat_mul(A, B):
                         acc[j] += a * b
         out.append(acc)
     return out
+
+
+def cleared(vec, field):
+    """(den, nums): the least common denominator of a vector of field
+    elements and the ring numerators over it, integer kappa-polynomials
+    over a polynomial den in exact mode and ints over an int den when
+    kappa is specialized."""
+    if field.mode == "specialized":
+        return _common_int_denominator(vec)
+    return _common_denominator(vec)
+
+
+def decoded(block, den, field):
+    """A ring matrix over the positive int den as field elements."""
+    zero = field.zero
+    if field.mode == "specialized":
+        return [[Fraction(x, den) if x else zero for x in row] for row in block]
+    den = (den,)
+    return [[FieldElem(x, den) if x else zero for x in row] for row in block]
+
+
+def ring_row(vec, field):
+    """A field-element vector as a primitive ring row: its cleared
+    numerators with their integer content stripped, a nonzero multiple of
+    the vector, for ``SpanBasis`` and the rank certificates."""
+    return primitive(cleared(vec, field)[1], field)
 
 
 def _common_denominator(vec):
@@ -228,14 +266,14 @@ def _int_row_eliminate(v, b, col):
 
 class SpanBasis:
     """Incremental row-echelon basis over the field, fraction-free: rows
-    are primitive int rows when kappa is specialized and primitive integer
-    kappa-polynomial rows otherwise."""
+    are primitive integer kappa-polynomial rows in exact mode and
+    primitive int rows otherwise (kappa specialized, or ``INTEGERS``)."""
 
     def __init__(self, field):
         self.field = field
         self.rows = []  # (pivot_col, row), sorted by pivot_col
         self._eliminate = (
-            _int_row_eliminate if field.mode == "specialized" else _row_eliminate
+            _row_eliminate if field.mode == "exact" else _int_row_eliminate
         )
 
     @property
@@ -276,54 +314,36 @@ CERTIFICATE_POINTS = (
 )
 
 
-def rank_lower_bound(vectors, point=None) -> int:
+def rank_lower_bound(rows, point=None) -> int:
     """Rank certificate by rational specialization (exact lower bound).
 
-    An entry is a field element (FieldElem or Fraction), an int or an
-    integer kappa-polynomial (coefficient tuple, as ``GradedOp.flatten``
-    gives).  Each vector is evaluated at kappa = a/b with integer Horner
-    on p(a/b)·b^deg p, zeros skipped, and scaled to an int row, which
-    leaves the rank unchanged.  A point at a pole of some entry certifies
-    nothing: the bound is 0.
+    ``rows`` are ring rows: integer kappa-polynomials (coefficient tuples,
+    as ``ring_row`` and ``GradedOp.flatten`` give) or ints, which are
+    constants.  Each row is evaluated at kappa = a/b with integer Horner,
+    every entry times the same positive power of b, which leaves the rank
+    unchanged; a row that vanishes at the point only lowers the bound.
     """
-    point = Fraction(point or CERTIFICATE_POINTS[0])
+    point = Fraction(CERTIFICATE_POINTS[0] if point is None else point)
     a, b = point.numerator, point.denominator
     bpow = [1]
-    basis = SpanBasis(SpecializedField(point))
-    for vec in vectors:
-        row = _row_at(vec, a, b, bpow)
-        if row is None:
-            return 0
-        basis.add_row(row)
+    basis = SpanBasis(INTEGERS)
+    for row in rows:
+        basis.add_row(_row_at(row, a, b, bpow))
     return basis.dim
 
 
-def _row_at(vec, a, b, bpow):
-    """The vector at kappa = a/b as a primitive int row, up to a positive
-    factor; None at a pole.  bpow caches the powers of b."""
-    nums, dens = [], []
-    for x in vec:
-        if not x:
-            n, d = 0, 1
-        elif type(x) is tuple:
-            n, d = _horner(x, a, b, bpow), bpow[len(x) - 1]
-        elif type(x) is FieldElem:
-            p, q = x.num, x.den
-            n, d = _horner(p, a, b, bpow), _horner(q, a, b, bpow)
-            if not d:
-                return None
-            n, d = n * bpow[len(q) - 1], d * bpow[len(p) - 1]
-            if d < 0:
-                n, d = -n, -d
-        else:
-            n, d = x.numerator, x.denominator
-        nums.append(n)
-        dens.append(d)
-    den = 1
-    for d in dens:
-        if den % d:
-            den = den * d // gcd(den, d)
-    return _strip_int_content([n * (den // d) if n else 0 for n, d in zip(nums, dens)])
+def _row_at(row, a, b, bpow):
+    """A ring row at kappa = a/b as a primitive int row: p(a/b)·b^(t-1)
+    for each integer kappa-polynomial p, t the longest length in the row.
+    bpow caches the powers of b."""
+    t = max((len(x) for x in row if type(x) is tuple), default=0)
+    while len(bpow) < t:
+        bpow.append(bpow[-1] * b)
+    return _strip_int_content([
+        (_horner(x, a, b, bpow) * bpow[t - len(x)] if x else 0)
+        if type(x) is tuple else x
+        for x in row
+    ])
 
 
 def _horner(p, a, b, bpow):
@@ -336,8 +356,8 @@ def _horner(p, a, b, bpow):
     return acc
 
 
-def certified_rank_bound(vectors, cap=None) -> int:
-    """Best rank lower bound over all certificate points.
+def certified_rank_bound(rows, cap=None) -> int:
+    """Best rank lower bound of ring rows over all certificate points.
 
     ``cap`` is an upper bound on the rank that the caller has already
     proved; no point can certify more, so the search stops at the first
@@ -345,7 +365,7 @@ def certified_rank_bound(vectors, cap=None) -> int:
     """
     best = 0
     for pt in CERTIFICATE_POINTS:
-        best = max(best, rank_lower_bound(vectors, pt))
+        best = max(best, rank_lower_bound(rows, pt))
         if cap is not None and best >= cap:
             break
     return best

@@ -21,29 +21,7 @@ from math import prod
 
 from . import _poly as P
 from .field import FieldElem
-from .linalg import (
-    _common_denominator,
-    _common_int_denominator,
-    _norm1,
-    _norm_inf,
-    _pack,
-    _slot_width,
-    _unpack,
-)
-
-
-class _Integers:
-    """The integers as the coefficient ring of integer images."""
-
-    mode = "integer"
-    zero = 0
-    one = 1
-
-    def from_int(self, n):
-        return n
-
-
-INTEGERS = _Integers()
+from .linalg import INTEGERS, _norm1, _norm_inf, _pack, _slot_width, _unpack, cleared
 
 
 class MultiPoly:
@@ -127,8 +105,8 @@ class MultiPoly:
             return self._int_product(other)
         if not self.terms or not other.terms:
             return MultiPoly.zero(self.nvars, field)
-        da, a = self.cleared()
-        db, b = other.cleared()
+        da, a = cleared(self.terms.values(), field)
+        db, b = cleared(other.terms.values(), field)
         w = None
         if field.mode == "exact":
             w = _slot_width(sum(map(_norm1, a)) * max(map(_norm_inf, b)))
@@ -185,17 +163,10 @@ class MultiPoly:
 
     # -- integer images ----------------------------------------------------
 
-    def cleared(self):
-        """(den, nums): the common denominator of the coefficients and the
-        integer numerators over it, in term order (Z[kappa] coefficient
-        tuples, or ints when kappa is specialized)."""
-        if self.field.mode == "exact":
-            return _common_denominator(self.terms.values())
-        return _common_int_denominator(self.terms.values())
-
     def integer_image(self, nums, w):
         """The polynomial over INTEGERS with the coefficients nums (from
-        ``cleared``), packed at 2^w; w is None when kappa is specialized.
+        ``linalg.cleared`` of the terms), packed at 2^w; w is None when
+        kappa is specialized.
 
         Packing is a ring map, so sums and products of images are images
         of sums and products.  A value unpacks correctly when every

@@ -23,14 +23,13 @@ D_{r,d} are built directly.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from operator import add, sub
 
 from . import _poly as P
 from . import linalg
 from .checks import CheckOutcome, zero_check
-from .field import FieldElem
+from .field import FieldElem, format_poly
 from .linalg import _int_mat_mul, ring_mat_mul
 from .partitions import add_part, partitions_of
 from .presentation import T0, T1, FreeAlgebra, Realization
@@ -59,13 +58,14 @@ FREE_RELATIONS = {
 class GradedOp:
     """Homogeneous operator of a fixed rank: one matrix per source degree
     on its validity window, with its entries in the ring they lie in, all
-    over one denominator ``den`` (default 1).
+    over one positive int denominator ``den`` (default 1).
 
     Exact mode: an entry is an integer kappa-polynomial, a coefficient
-    tuple with no trailing zeros (zero is ``()``), and ``den`` is one with
-    positive leading coefficient, a constant for every operator the suites
-    build.  Specialized mode (kappa = p/q): an entry is an int and ``den``
-    a positive int.
+    tuple with no trailing zeros (zero is ``()``).  Specialized mode (kappa
+    = p/q): an entry is an int.  ``den`` is an int in both: every D_{r,d}
+    is integral over Z[kappa] up to a rational scalar, D_{-1,k} included
+    (kappa times an adjoint for the Jack pairing), so ``from_field`` and
+    ``scale`` refuse a kappa-polynomial denominator.
 
     ``compose`` is one ring matrix product per block (``linalg.
     ring_mat_mul``, or ``linalg._int_mat_mul`` on ints); ``+``, ``-`` and
@@ -76,29 +76,26 @@ class GradedOp:
 
     __slots__ = ("rank", "blocks", "field", "den")
 
-    def __init__(self, rank, blocks, field, den=None):
+    def __init__(self, rank, blocks, field, den=1):
         if not blocks:
             raise WindowError("truncation too small: empty validity window")
         self.rank = rank
         self.blocks = blocks
         self.field = field
-        self.den = den or _ring(field)[1]
+        self.den = den
 
     @classmethod
     def from_field(cls, rank, blocks, field):
         """The operator with the given field-element matrices, over the
         least common denominator of their entries."""
-        common = (
-            linalg._common_int_denominator
-            if field.mode == "specialized"
-            else linalg._common_denominator
+        den, nums = linalg.cleared(
+            [x for b in blocks.values() for row in b for x in row], field
         )
-        den, nums = common([x for b in blocks.values() for row in b for x in row])
         it = iter(nums)
         ring = {
             n: [[next(it) for _ in row] for row in b] for n, b in blocks.items()
         }
-        return cls(rank, ring, field, den)
+        return cls(rank, ring, field, _int_den(den))
 
     @property
     def window(self):
@@ -108,9 +105,7 @@ class GradedOp:
         """The block at source degree n as a matrix of field elements."""
         if n not in self.blocks:
             raise WindowError("degree %d outside operator window" % n)
-        zero, den = self.field.zero, self.den
-        elem = Fraction if self.field.mode == "specialized" else FieldElem
-        return [[elem(x, den) if x else zero for x in row] for row in self.blocks[n]]
+        return linalg.decoded(self.blocks[n], self.den, self.field)
 
     def _common(self, other):
         if self.rank != other.rank:
@@ -125,26 +120,19 @@ class GradedOp:
         integer kappa-polynomials, over the least common multiple of the
         two denominators, self.den·ka = other.den·kb."""
         degs = self._common(other)
-        da, db = self.den, other.den
-        if self.field.mode == "specialized":
-            g = gcd(da, db)
-            ka, kb = db // g, da // g
-            one, den, times, op = 1, da * ka, _times_int, int_op
-        else:
-            ka = kb = one = _ONE
-            if da != db:
-                g = P.pgcd(da, db)
-                ka, kb = P.pdivexact(db, g), P.pdivexact(da, g)
-            den, times, op = P.pmul(da, ka), _times_poly, poly_op
+        g = gcd(self.den, other.den)
+        ka, kb = other.den // g, self.den // g
+        exact = self.field.mode == "exact"
+        times, op = (_times_poly, poly_op) if exact else (_times_int, int_op)
         blocks = {}
         for n in degs:
             a, b = self.blocks[n], other.blocks[n]
-            if ka != one:
+            if ka != 1:
                 a = times(a, ka)
-            if kb != one:
+            if kb != 1:
                 b = times(b, kb)
             blocks[n] = [list(map(op, ra, rb)) for ra, rb in zip(a, b)]
-        return GradedOp(self.rank, blocks, self.field, den)
+        return GradedOp(self.rank, blocks, self.field, self.den * ka)
 
     def __add__(self, other):
         return self._combine(other, add, P.padd)
@@ -153,28 +141,23 @@ class GradedOp:
         return self._combine(other, sub, P.psub)
 
     def scale(self, c):
-        """c times the operator, c a field element or an int."""
+        """c times the operator, c a field element or an int; ValueError
+        when the denominator of c is not an integer."""
         if not c:
             return self._zero()
         if self.field.mode == "specialized":
-            m, d = c.numerator, c.denominator
+            m, d, times = c.numerator, c.denominator, _times_int
             g = gcd(m, self.den)
             m //= g
-            one, den, times = 1, self.den // g * d, _times_int
         else:
-            m, d = (c.num, c.den) if isinstance(c, FieldElem) else ((c,), _ONE)
-            g = gcd(gcd(*m), *self.den)
-            den = self.den
-            if g > 1:
-                m = tuple(x // g for x in m)
-                den = tuple(x // g for x in den)
-            if d != _ONE:
-                den = P.pmul(den, d)
-            one, times = _ONE, _times_poly
+            m, d = (c.num, _int_den(c.den)) if isinstance(c, FieldElem) else ((c,), 1)
+            times = _times_poly
+            g = gcd(*m, self.den)
+            m = tuple(x // g for x in m)
         blocks = self.blocks
-        if m != one:
+        if m not in (1, _ONE):
             blocks = {n: times(b, m) for n, b in blocks.items()}
-        return GradedOp(self.rank, blocks, self.field, den)
+        return GradedOp(self.rank, blocks, self.field, self.den // g * d)
 
     def _zero(self):
         zero = _ring(self.field)[0]
@@ -197,12 +180,10 @@ class GradedOp:
         ]
         if not pairs:
             raise WindowError("truncation too small: empty validity window")
-        if self.field.mode == "specialized":
-            product, den = _int_mat_mul, self.den * other.den
-        else:
-            product, den = ring_mat_mul, P.pmul(self.den, other.den)
+        product = _int_mat_mul if self.field.mode == "specialized" else ring_mat_mul
         A, B = self.blocks, other.blocks
         blocks = {n: product(A[m], B[n]) for n, m in pairs}
+        den = self.den * other.den
         return GradedOp(self.rank + other.rank, blocks, self.field, den)
 
     def commutator(self, other):
@@ -240,6 +221,16 @@ class GradedOp:
         return [op.flatten() for op in ops]
 
 
+def _int_den(den):
+    """An operator denominator, an int or a positive constant
+    kappa-polynomial, as an int; a nonconstant one is refused."""
+    if type(den) is int:
+        return den
+    if len(den) > 1:
+        raise ValueError("operator denominator %s is not an integer" % format_poly(den))
+    return den[0]
+
+
 def _ring(field):
     """The zero and the one of the ring the operator entries lie in."""
     return (0, 1) if field.mode == "specialized" else ((), _ONE)
@@ -251,12 +242,14 @@ def _times_int(block, k):
 
 
 def _times_poly(block, k):
-    """A block of integer kappa-polynomials times the nonzero one k."""
-    if len(k) > 1:
-        pmul = P.pmul
-        return [[pmul(x, k) for x in row] for row in block]
-    (c,) = k
-    return [[tuple([a * c for a in x]) for x in row] for row in block]
+    """A block of integer kappa-polynomials times k, a nonzero int or
+    integer kappa-polynomial."""
+    if type(k) is tuple:
+        if len(k) > 1:
+            pmul = P.pmul
+            return [[pmul(x, k) for x in row] for row in block]
+        (k,) = k
+    return [[tuple([a * k for a in x]) for x in row] for row in block]
 
 
 def zero_or_skip(cid, build) -> CheckOutcome:

@@ -326,8 +326,8 @@ class Realization:
     realization.  A word with a t0 letter occurs in a single relation;
     keeping it would only raise peak memory.
 
-    ``coordinates`` maps a list of images to their coordinate vectors over
-    one basis; kernel_certificate reads it.
+    ``coordinates`` maps a list of images to their coordinates over one
+    basis as ring rows (``linalg.ring_row``); kernel_certificate reads it.
     """
 
     def __init__(self, letters, product, unit, anti=False, coordinates=None):
@@ -488,10 +488,11 @@ def kernel_certificate(elements, words, realize):
     index = {w: i for i, w in enumerate(words)}
     vecs = []
     for el in elements:
-        vec = [el.algebra.field.zero] * len(words)
+        field = el.algebra.field
+        vec = [field.zero] * len(words)
         for w, c in el.terms.items():
             vec[index[w]] = c
-        vecs.append(vec)
+        vecs.append(linalg.ring_row(vec, field))
     included = all(realize(el).is_zero() for el in elements)
     span = linalg.certified_rank_bound(vecs, min(len(vecs), len(words)))
     images = realize.coordinates([realize.word(w) for w in words])

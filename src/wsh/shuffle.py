@@ -23,7 +23,7 @@ from itertools import combinations
 from math import comb, prod
 
 from .checks import CheckOutcome
-from .linalg import _norm1, _norm_inf, _slot_width
+from .linalg import _norm1, _norm_inf, _slot_width, cleared, ring_row
 from .multipoly import MultiPoly
 from .operators import WindowError, skipped
 from .presentation import T1, FreeAlgebra, Realization, kernel_certificate, t1_word
@@ -128,10 +128,13 @@ class ShuffleElem:
     @staticmethod
     def coordinates(elems):
         """Coefficient vectors of the elements over the sorted union of
-        their monomials (Realization.coordinates)."""
+        their monomials, as ring rows (Realization.coordinates)."""
         basis = sorted(set().union(*(e.poly.terms for e in elems)))
-        zero = elems[0].field.zero
-        return [[e.poly.terms.get(m, zero) for m in basis] for e in elems]
+        field = elems[0].field
+        return [
+            ring_row([e.poly.terms.get(m, field.zero) for m in basis], field)
+            for e in elems
+        ]
 
     def __eq__(self, other):
         return isinstance(other, ShuffleElem) and self.poly == other.poly
@@ -172,23 +175,23 @@ def star_product(P: ShuffleElem, Q: ShuffleElem, kernel: Kernel) -> ShuffleElem:
         Q.poly.extend(n, offset=r),
         kernel.cross_factor(r, s),
     )
-    cleared = [f.cleared() for f in factors]
+    images = [cleared(f.terms.values(), f.field) for f in factors]
     w = None
     if P.field.mode == "exact":
         # every value below is bounded by the product bound of F, times the
         # number of shuffles, times the length of a diagonal (at most the
         # total degree + 1) at each division
-        (_, p), (_, q), (_, k) = cleared
+        (_, p), (_, q), (_, k) = images
         degree = sum(f.total_degree() for f in factors)
         growth = comb(n, r) * prod(degree + 1 - i for i in range(n * (n - 1) // 2))
         bound = sum(map(_norm1, p)) * sum(map(_norm1, q)) * max(map(_norm_inf, k))
         w = _slot_width(bound * growth)
-    pi, qi, ki = (f.integer_image(c, w) for f, (_, c) in zip(factors, cleared))
+    pi, qi, ki = (f.integer_image(c, w) for f, (_, c) in zip(factors, images))
     acc = _signed_shuffle_sum(pi * qi * ki, r)
     for a in range(n):
         for b in range(a + 1, n):
             acc = acc.div_linear(a, b)
-    return ShuffleElem(acc.over([den for den, _ in cleared], w, P.field))
+    return ShuffleElem(acc.over([den for den, _ in images], w, P.field))
 
 
 def _signed_shuffle_sum(F: MultiPoly, r) -> MultiPoly:

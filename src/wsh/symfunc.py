@@ -209,29 +209,21 @@ def _unpack_row(x, w, d):
 
 class SymmetricFunctions:
     """The m<->p matrices, the pairing, the commuting operators and the
-    Jack matrix, cached per degree for one field context (the commuting
-    operators are not)."""
+    Jack matrix for one field context.  The Jack matrix and the pairing
+    are cached per degree; the rest is read once per Jack build."""
 
     def __init__(self, field):
         self.field = field
-        self._p2m = {}
-        self._m2p = {}
         self._jack = {}
         self._gram = {}
 
     # -- transition matrices ---------------------------------------------
 
     def p_to_m(self, n):
-        if n not in self._p2m:
-            fi = self.field.from_int
-            self._p2m[n] = [[fi(x) for x in row] for row in _p_to_m_int(n)]
-        return self._p2m[n]
+        return [list(map(self.field.from_int, row)) for row in _p_to_m_int(n)]
 
     def m_to_p(self, n):
-        if n not in self._m2p:
-            ff = self.field.from_fraction
-            self._m2p[n] = [[ff(x) for x in row] for row in _m_to_p_frac(n)]
-        return self._m2p[n]
+        return [list(map(self.field.from_fraction, row)) for row in _m_to_p_frac(n)]
 
     def gram_diag(self, n):
         """Diagonal of the Jack pairing in the p-basis at degree n."""
@@ -247,15 +239,16 @@ class SymmetricFunctions:
 
     def commuting_ints(self, n, ls):
         """(den, block) of D_{0,l} at degree n in p-coordinates, for each l
-        in ls, in the ring of its entries: integer kappa-polynomials
-        (coefficient tuples) over 1 in exact mode, ints over Q^(l-1) at
-        kappa = P/Q.  From the moments of the Lax operator: no Jack basis,
-        and one division per entry at the end.  Nothing is cached."""
+        in ls, in the ring of its entries over an int den: integer
+        kappa-polynomials (coefficient tuples) over 1 in exact mode, ints
+        over Q^(l-1) at kappa = P/Q.  From the moments of the Lax
+        operator: no Jack basis, and one division per entry at the end.
+        Nothing is cached."""
         field = self.field
         if field.mode == "exact":
             w = _slot_width(_moment_bound(n, max(ls)))
             return [
-                ((1,), [[_unpack(x, w) for x in row] for row in mat])
+                (1, [[_unpack(x, w) for x in row] for row in mat])
                 for mat in _commuting_ints(n, ls, 1 << w, 1)
             ]
         P, Q = field.kappa.numerator, field.kappa.denominator
@@ -265,15 +258,8 @@ class SymmetricFunctions:
 
     def commuting_blocks(self, n, ls):
         """The blocks of ``commuting_ints`` as field-element matrices."""
-        field = self.field
-        zero = field.zero
-        if field.mode == "exact":
-            return [
-                [[field.from_poly(p) if p else zero for p in row] for row in mat]
-                for _, mat in self.commuting_ints(n, ls)
-            ]
         return [
-            [[Fraction(x, den) if x else zero for x in row] for row in mat]
+            linalg.decoded(mat, den, self.field)
             for den, mat in self.commuting_ints(n, ls)
         ]
 

@@ -489,28 +489,16 @@ def fraction_rank_oracle(rows) -> int:
     return rank
 
 
-def clear_denominators(vec, field):
-    """Field-element vector -> primitive row: the numerators over the
-    common denominator with their content stripped; ints when kappa is
-    specialized, integer kappa-polynomials otherwise."""
-    common = (
-        linalg._common_int_denominator
-        if field.mode == "specialized"
-        else linalg._common_denominator
-    )
-    return linalg.primitive(common(vec)[1], field)
-
-
 class FieldSpan(linalg.SpanBasis):
-    """``linalg.SpanBasis`` fed with field-element vectors, each cleared
-    of denominators (``clear_denominators``) on the way in."""
+    """``linalg.SpanBasis`` fed with field-element vectors, each taken to
+    its ring row (``linalg.ring_row``) on the way in."""
 
     def add(self, vec) -> bool:
         """Insert a vector; True when it enlarges the span."""
-        return self.add_row(clear_denominators(vec, self.field))
+        return self.add_row(linalg.ring_row(vec, self.field))
 
     def contains(self, vec) -> bool:
-        return self.contains_row(clear_denominators(vec, self.field))
+        return self.contains_row(linalg.ring_row(vec, self.field))
 
 
 def rank_of_vectors(vectors, field) -> int:
@@ -536,11 +524,11 @@ def kernel_of_vectors(vectors, field):
     if field.mode == "specialized":
         zero, one, to_field = 0, 1, field.from_int
     else:
-        zero, one, to_field = (), (1,), field.from_poly
+        zero, one, to_field = (), (1,), FieldElem
     kernel = []
     scales = []  # cleared row = scale * original vector, per vector
     for i, v in enumerate(vectors):
-        row = clear_denominators(v, field)
+        row = linalg.ring_row(v, field)
         j = next((j for j, p in enumerate(row) if p), None)
         scales.append(field.one if j is None else to_field(row[j]) / v[j])
         tail = [zero] * k

@@ -19,6 +19,7 @@ from wsh import linalg
 from wsh.field import FieldElem, RationalFunctionField, SpecializedField
 from wsh.operators import GradedOp, OpContext, WindowError
 from wsh.presentation import PresentationContext, T1, random_elements
+from wsh.report import Config, fock_suite, positive_suite, presentation_suite
 from wsh.shc import ShcContext
 
 KAPPAS = [None, Fraction(7, 3), Fraction(-7919, 1201)]
@@ -140,7 +141,7 @@ def test_fock_operators_equal_the_oracle(pair):
 
 
 def test_flattened_operators_certify_the_oracle_rank(pair):
-    # the primitive ring rows of GradedOp.flatten, and the field vectors of
+    # the primitive ring rows of GradedOp.flatten, and the ring rows of
     # the decoded blocks, give the ranks of the Fraction oracle
     ctx, _ = pair
     words = [((T1, a), (T1, b)) for a in range(4) for b in range(4)]
@@ -153,24 +154,67 @@ def test_flattened_operators_certify_the_oracle_rank(pair):
     for pt in linalg.CERTIFICATE_POINTS:
         want = fraction_rank_oracle(evaluate_vectors_oracle(vecs, pt))
         assert linalg.rank_lower_bound(rows, pt) == want
-        assert linalg.rank_lower_bound(vecs, pt) == want
+        vec_rows = [linalg.ring_row(v, ctx.field) for v in vecs]
+        assert linalg.rank_lower_bound(vec_rows, pt) == want
         assert 0 < want < len(words)
 
 
-def test_kappa_polynomial_denominators_match_the_oracle(ctx6):
-    # scalars with kappa-polynomial denominators give an operator
-    # denominator in Z[kappa]; sums over two such denominators and
-    # products still equal the oracle
+def test_kappa_polynomial_denominators_are_refused(ctx6):
+    # no operator of the suites has a kappa-polynomial denominator
+    # (test_every_operator_denominator_is_an_int), and none is built
     F = ctx6.field
     d1, s2 = ctx6.d1(1), ctx6.sekiguchi(2)
     a = F.one / (F.kappa + F.one)
     b = F.kappa / (F.kappa * F.kappa - F.from_int(2))
-    x = d1.scale(a) + d1.compose(s2).scale(b)
-    rx = FieldOp.of(d1).scale(a) + FieldOp.of(d1).compose(FieldOp.of(s2)).scale(b)
-    assert len(x.den) == 4
-    assert_matches(x, rx)
-    assert_matches(s2.scale(b).compose(x), FieldOp.of(s2).scale(b).compose(rx))
-    assert_matches(x - x, rx - rx)
+    with pytest.raises(ValueError, match="not an integer"):
+        d1.scale(a)
+    with pytest.raises(ValueError, match="not an integer"):
+        s2.scale(b)
+    blocks = {n: [[x * a for x in row] for row in d1.block(n)] for n in d1.blocks}
+    with pytest.raises(ValueError, match="not an integer"):
+        GradedOp.from_field(1, blocks, F)
+    # a rational scalar and a kappa-polynomial numerator are kept
+    x = d1.scale(F.kappa / F.from_int(6)) + d1.compose(s2).scale(F.one / 4)
+    assert x.den == 12
+    rx = FieldOp.of(d1).scale(F.kappa / F.from_int(6))
+    assert_matches(x, rx + FieldOp.of(d1).compose(FieldOp.of(s2)).scale(F.one / 4))
+
+
+@pytest.mark.parametrize(
+    "kappa", [None, Fraction(-7919, 1201)], ids=["exact", "-7919/1201"]
+)
+def test_every_operator_denominator_is_an_int(monkeypatch, kappa):
+    # every D_{r,d} is integral over Z[kappa] up to a rational scalar, and
+    # D_{-1,k} = kappa adj(D_{1,k}) = [d/dp_1, D_{0,k+1}] is too: each
+    # generator, and every operator the positive, presentation and fock
+    # suites build at N = 8, is over an int denominator; D_{-1,k} over 1
+    # in exact mode
+    F = make_field(kappa)
+    ctx = OpContext(F, 8)
+    dens = []
+    init = GradedOp.__init__
+
+    def recording(self, rank, blocks, field, den=1):
+        dens.append(den)
+        init(self, rank, blocks, field, den)
+
+    monkeypatch.setattr(GradedOp, "__init__", recording)
+    ops = [ctx.multiplication(l) for l in range(1, 7)]
+    ops += [ctx.sekiguchi(l) for l in range(1, 10)]
+    ops += [ctx.drd(r, d) for r in range(1, 4) for d in range(4)]
+    ops += [ctx.dprime(r, d) for r in range(1, 4) for d in range(4)]
+    lowering = [ctx.lowering(k) for k in range(9)]
+    cfg = Config(N=8, specialize=kappa)
+    thunks = [run for suite in (positive_suite, presentation_suite, fock_suite)
+              for run in suite(cfg, ctx)]
+    for run in thunks:
+        run()
+    monkeypatch.undo()
+    assert len(thunks) == 82 + 4 + 6
+    assert all(type(op.den) is int for op in ops + lowering)
+    assert len(dens) > 1000 and {type(d) for d in dens} == {int}
+    if kappa is None:
+        assert [op.den for op in lowering] == [1] * 9
 
 
 # -- canonical entries ---------------------------------------------------------
@@ -204,7 +248,7 @@ def test_exact_entries_are_canonical(ctx6):
         "commutator": s2.commutator(s3),
         "scale by an int": d1.scale(-2),
         "scale by kappa": s2.scale(k),
-        "scale by a fraction": low.scale(F.from_int(6) / (k * k + 2)),
+        "scale by a fraction": low.scale(F.from_int(6) * k / F.from_int(35)),
         "scale by zero": d1.scale(F.zero),
         "zero_extended": low.compose(d1).zero_extended(0),
         "zero operator": s2._zero(),
@@ -284,9 +328,9 @@ def test_bounds_attained_with_degree_and_inner_dimension():
             prod = down.compose(up)
             assert prod.block(0)[0][0].num[d] == 3 * (d + 1) * m * m
             assert_matches(prod, FieldOp.of(down).compose(FieldOp.of(up)))
-            scaled = up.scale(F.from_poly(p))
+            scaled = up.scale(FieldElem(p))
             assert scaled.block(0)[0][0].num[d] == (d + 1) * m * m
-            assert_matches(scaled, FieldOp.of(up).scale(F.from_poly(p)))
+            assert_matches(scaled, FieldOp.of(up).scale(FieldElem(p)))
 
 
 # -- no field arithmetic in the operator algebra -----------------------------

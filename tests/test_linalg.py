@@ -7,7 +7,6 @@ from math import gcd
 import pytest
 from conftest import (
     FieldSpan,
-    clear_denominators,
     evaluate_vectors_oracle,
     fraction_rank_oracle,
     identity_matrix,
@@ -19,7 +18,7 @@ from conftest import (
 
 from wsh import _poly as P
 from wsh import linalg
-from wsh.field import RationalFunctionField, SpecializedField
+from wsh.field import FieldElem, RationalFunctionField, SpecializedField
 
 F = RationalFunctionField()
 S = SpecializedField(Fraction(7, 3))
@@ -32,6 +31,10 @@ _DENS = (F.one, _K, _K**3, _K + 1, _K**3 - 2 * _K + 5, _K**2 * (_K + 1))
 
 def fe(n, d=1):
     return F.from_fraction(Fraction(n, d))
+
+
+def ring_rows(vecs, field=F):
+    return [linalg.ring_row(v, field) for v in vecs]
 
 
 def test_mat_inv_roundtrip():
@@ -96,20 +99,29 @@ def test_kernel_dimension_formula():
 def test_rank_lower_bound_is_exact_here():
     k = F.kappa
     vecs = [[F.one, k], [k, k * k + 1]]
-    assert linalg.rank_lower_bound(vecs) == 2
+    assert linalg.rank_lower_bound(ring_rows(vecs)) == 2
 
 
 def test_rank_drops_only_at_special_points():
     k = F.kappa
     # rank 2 generically, rank 1 at kappa = 1
-    vecs = [[F.one, F.one], [F.one, k]]
-    assert linalg.rank_lower_bound(vecs, Fraction(1)) == 1
-    assert linalg.rank_lower_bound(vecs, linalg.CERTIFICATE_POINTS[0]) == 2
-    assert linalg.certified_rank_bound(vecs) == 2
+    rows = ring_rows([[F.one, F.one], [F.one, k]])
+    assert linalg.rank_lower_bound(rows, Fraction(1)) == 1
+    assert linalg.rank_lower_bound(rows, linalg.CERTIFICATE_POINTS[0]) == 2
+    assert linalg.certified_rank_bound(rows) == 2
+
+
+def test_certificate_at_kappa_zero_evaluates_at_zero():
+    # kappa, 0 vanishes at kappa = 0: the rank there is 1, not the
+    # generic 2 of the default point
+    rows = [[(0, 1), ()], [(), (1,)]]
+    assert linalg.rank_lower_bound(rows, 0) == 1
+    assert linalg.rank_lower_bound(rows, Fraction(0)) == 1
+    assert linalg.rank_lower_bound(rows) == 2
 
 
 def test_clear_denominators_strips_content():
-    row = clear_denominators([fe(2, 3), fe(4, 3)], F)
+    row = linalg.ring_row([fe(2, 3), fe(4, 3)], F)
     assert row == [(1,), (2,)]
 
 
@@ -188,26 +200,33 @@ def test_certified_rank_bound_cap_never_changes_the_bound():
     drop = F.from_fraction(linalg.CERTIFICATE_POINTS[0])
     cases.append([[F.one, F.one], [F.one, F.kappa / drop]])
     for vecs in cases:
-        full = linalg.certified_rank_bound(vecs)
+        rows = ring_rows(vecs)
+        full = linalg.certified_rank_bound(rows)
         rank = rank_of_vectors(vecs, F)
         for cap in range(rank, rank + 3):
-            assert linalg.certified_rank_bound(vecs, cap=cap) == full
-    assert linalg.rank_lower_bound(cases[-1]) == 1
-    assert linalg.certified_rank_bound(cases[-1], cap=2) == 2
+            assert linalg.certified_rank_bound(rows, cap=cap) == full
+    assert linalg.rank_lower_bound(ring_rows(cases[-1])) == 1
+    assert linalg.certified_rank_bound(ring_rows(cases[-1]), cap=2) == 2
 
 
-def test_certificate_point_at_a_pole_is_skipped():
+def test_a_row_vanishing_at_a_point_lowers_the_bound():
+    # a ring row is its vector times a nonzero polynomial: at a root of it
+    # the row vanishes and the bound drops; no point raises the bound
+    # above the rank, and a pole of the vector is no special case
     k = F.kappa
-    pole = linalg.CERTIFICATE_POINTS[0]
-    at_pole = F.one / (k - F.from_fraction(pole))
-    vecs = [[at_pole, F.one], [F.one, k]]
-    assert linalg.rank_lower_bound(vecs, pole) == 0
-    assert linalg.rank_lower_bound(vecs, linalg.CERTIFICATE_POINTS[1]) == 2
-    assert linalg.certified_rank_bound(vecs) == 2
-    every_pole = F.one
-    for pt in linalg.CERTIFICATE_POINTS:
-        every_pole = every_pole / (k - F.from_fraction(pt))
-    assert linalg.certified_rank_bound([[every_pole, F.one]]) == 0
+    pt = linalg.CERTIFICATE_POINTS[0]
+    root = k - F.from_fraction(pt)
+    vanishing = [[root, root * k, F.zero], [F.one, F.zero, k]]
+    poles = [[F.one / root, F.one, F.zero], [F.one, k, F.one / (root * root)]]
+    for vecs in (vanishing, poles, vanishing + poles):
+        rows = ring_rows(vecs)
+        rank = rank_of_vectors(vecs, F)
+        for p in linalg.CERTIFICATE_POINTS:
+            assert linalg.rank_lower_bound(rows, p) <= rank
+        assert linalg.certified_rank_bound(rows) == rank
+    assert rank_of_vectors(vanishing, F) == 2
+    assert linalg.rank_lower_bound(ring_rows(vanishing), pt) == 1
+    assert linalg.rank_lower_bound(ring_rows(poles), pt) == 2
 
 
 def test_pack_unpack_round_trip_at_slot_limits():
@@ -241,7 +260,7 @@ def test_mat_mul_entries_at_the_slot_bound():
     entry is inner·max‖a‖₁·max‖b‖∞, the bound the slot width is taken
     from."""
     m = 2**40 - 1
-    x = F.from_poly((m, m, m))
+    x = FieldElem((m, m, m))
     inner = 8
     A = [[x] * inner]
     B = [[x] for _ in range(inner)]
@@ -335,7 +354,7 @@ def test_specialized_rank_and_kernel_match_the_fraction_oracle():
             want = fraction_rank_oracle(vecs)
             assert rank_of_vectors(vecs, S) == want
             for pt in linalg.CERTIFICATE_POINTS:
-                assert linalg.rank_lower_bound(vecs, pt) == want
+                assert linalg.rank_lower_bound(ring_rows(vecs, S), pt) == want
             rank, kernel = kernel_of_vectors(vecs, S)
             assert rank == want and len(kernel) == len(vecs) - want
             assert all(type(c) is Fraction for a in kernel for c in a)
@@ -366,7 +385,7 @@ def test_exact_certificates_match_the_fraction_oracle():
         vecs.append([a - b for a, b in zip(vecs[0], vecs[1])])
         for pt in linalg.CERTIFICATE_POINTS:
             want = fraction_rank_oracle(evaluate_vectors_oracle(vecs, pt))
-            assert linalg.rank_lower_bound(vecs, pt) == want
+            assert linalg.rank_lower_bound(ring_rows(vecs), pt) == want
 
 
 def test_specialized_clear_denominators_returns_primitive_ints():
@@ -379,7 +398,7 @@ def test_specialized_clear_denominators_returns_primitive_ints():
         [],
     ]
     for vec in cases:
-        row = clear_denominators(vec, S)
+        row = linalg.ring_row(vec, S)
         assert all(type(c) is int for c in row)
         assert not any(row) or gcd(*row) == 1
         # the row is a positive multiple of the vector
@@ -387,8 +406,8 @@ def test_specialized_clear_denominators_returns_primitive_ints():
         if j is not None:
             scale = row[j] / vec[j]
             assert scale > 0 and [scale * x for x in vec] == row
-    assert clear_denominators(cases[0], S) == [1, 2]
-    assert clear_denominators(cases[1], S) == [-4, 0, 3]
+    assert linalg.ring_row(cases[0], S) == [1, 2]
+    assert linalg.ring_row(cases[1], S) == [-4, 0, 3]
 
 
 def test_int_elimination_equals_degree_zero_polynomial_elimination():

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from conftest import multipoly_mul_oracle
 
-from wsh.field import RationalFunctionField, SpecializedField
+from wsh import linalg
+from wsh.field import FieldElem, RationalFunctionField, SpecializedField
 from wsh.linalg import _norm_inf, _slot_width
 from wsh.multipoly import INTEGERS, MultiPoly
 
@@ -125,7 +126,7 @@ def test_product_cancels_to_zero_terms():
 def test_integer_image_round_trip(field):
     rng = random.Random(7)
     p = random_poly(rng, 3, field, terms=6)
-    den, nums = p.cleared()
+    den, nums = linalg.cleared(p.terms.values(), field)
     w = None if field is S else _slot_width(max(map(_norm_inf, nums)))
     image = p.integer_image(nums, w)
     assert image.field is INTEGERS
@@ -156,7 +157,7 @@ def test_product_coefficient_at_the_slot_bound():
     """Seven equal terms on each side meet on one monomial, whose middle
     kappa-coefficient is the bound (Σ‖a‖₁)·max‖b‖∞ exactly."""
     m = 2**40 - 1
-    c = F.from_poly((m, m, m))
+    c = FieldElem((m, m, m))
     a = MultiPoly(2, {(i, 6 - i): c for i in range(7)}, F)
     got = a * a
     assert got == multipoly_mul_oracle(a, a)

@@ -11,8 +11,9 @@ from conftest import (
     sekiguchi_conjugation_oracle,
 )
 
+from wsh import linalg
 from wsh.checks import zero_check
-from wsh.field import SpecializedField
+from wsh.field import FieldElem, SpecializedField
 from wsh.operators import GradedOp, OpContext, WindowError
 from wsh.partitions import add_part, content_power_sum, partitions_of
 from wsh.report import _spectrum_checks
@@ -96,13 +97,18 @@ def test_sekiguchi_builds_without_a_jack_basis(field, ctx6, monkeypatch):
     + [(2, [(4,), (2, 1), (1, 1, 1)])],
 )
 def test_spectrum_check_names_a_wrong_eigenvalue(field, l, wrong):
-    # D_{0,l} rebuilt with the eigenvalue on each partition in wrong off by one
+    # D_{0,l} rebuilt with the eigenvalue on each partition in wrong off by
+    # the lcm denominator of C·diag(off)·C^-1, which makes the perturbation,
+    # and so the operator, integral over Z[kappa]
     ctx = OpContext(field, 4)
     op = ctx.sekiguchi(l)
     blocks = {n: op.block(n) for n in op.blocks}
     for n in sorted({sum(lam) for lam in wrong}):
+        off = [field.one if lam in wrong else field.zero for lam in partitions_of(n)]
+        shift = sekiguchi_conjugation_oracle(ctx.sym, l, n, off)
+        den, _ = linalg.cleared([x for row in shift for x in row], field)
         eigs = [
-            content_power_sum(lam, l, field) + (field.one if lam in wrong else 0)
+            content_power_sum(lam, l, field) + (FieldElem(den) if lam in wrong else 0)
             for lam in partitions_of(n)
         ]
         blocks[n] = sekiguchi_conjugation_oracle(ctx.sym, l, n, eigs)

@@ -114,8 +114,10 @@ def test_certified_relation_span_is_the_oracle_kernel(rank, field, dim):
     else:
         words, rels = sc.free.rank3_relations(3)
     assert kernel_certificate(rels, words, sc.realize) == (True, dim, dim)
-    images = ShuffleElem.coordinates([sc.realize.word(w) for w in words])
-    rank_, kernel = kernel_of_vectors(images, field)
+    images = [sc.realize.word(w).poly.terms for w in words]
+    basis = sorted(set().union(*images))
+    vecs = [[t.get(m, field.zero) for m in basis] for t in images]
+    rank_, kernel = kernel_of_vectors(vecs, field)
     assert rank_ + dim == len(words) and len(kernel) == dim
     span = FieldSpan(field)
     for el in rels:
