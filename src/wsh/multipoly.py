@@ -114,24 +114,10 @@ class MultiPoly:
         return image.over((da, db), w, field)
 
     def _int_product(self, other):
-        """Product of integer images; exponent vectors are packed too, so a
-        monomial product is one int addition."""
-        nvars = self.nvars
+        """Product of integer images (``packed_product``)."""
         ew = _slot_width(self.total_degree() + other.total_degree())
-        bterms = [(_pack(e, ew), b) for e, b in other.terms.items()]
-        acc = {}
-        get = acc.get
-        for e, a in self.terms.items():
-            ka = _pack(e, ew)
-            for kb, b in bterms:
-                k = ka + kb
-                acc[k] = get(k, 0) + a * b
-        out = {}
-        for k, v in acc.items():
-            if v:
-                e = _unpack(k, ew)
-                out[e + (0,) * (nvars - len(e))] = v
-        return MultiPoly(nvars, out, INTEGERS, _clean=True)
+        terms = packed_product(self.packed(ew), other.packed(ew))
+        return MultiPoly.unpacked(self.nvars, terms, ew)
 
     __rmul__ = __mul__
 
@@ -188,6 +174,18 @@ class MultiPoly:
             terms = {e: FieldElem(_unpack(v, w), den) for e, v in self.terms.items()}
         return MultiPoly(self.nvars, terms, field, _clean=True)
 
+    def packed(self, ew):
+        """The terms keyed by exponent vectors packed at 2^ew (``_pack``)."""
+        return {_pack(e, ew): c for e, c in self.terms.items()}
+
+    @staticmethod
+    def unpacked(nvars, terms, ew):
+        """The polynomial over INTEGERS with the packed terms
+        {packed exponent vector: int}; zero coefficients are dropped."""
+        mask, shifts = (1 << ew) - 1, range(0, nvars * ew, ew)
+        out = {tuple([k >> t & mask for t in shifts]): v for k, v in terms.items() if v}
+        return MultiPoly(nvars, out, INTEGERS, _clean=True)
+
     # -- structure ---------------------------------------------------------
 
     def total_degree(self):
@@ -231,11 +229,15 @@ class MultiPoly:
         return out
 
     def is_symmetric(self):
-        for i in range(self.nvars - 1):
-            perm = list(range(self.nvars))
-            perm[i], perm[i + 1] = perm[i + 1], perm[i]
-            if self.permute_vars(perm) != self:
-                return False
+        """Each term moved by an adjacent transposition finds its image
+        with the same coefficient."""
+        terms, zero = self.terms, self.field.zero
+        for e, c in terms.items():
+            for i in range(self.nvars - 1):
+                if e[i] != e[i + 1]:
+                    swapped = e[:i] + (e[i + 1], e[i]) + e[i + 2 :]
+                    if terms.get(swapped, zero) != c:
+                        return False
         return True
 
     def symmetrize(self):
@@ -268,40 +270,6 @@ class MultiPoly:
             rem = rem - t * divisor
         return quot
 
-    def div_linear(self, a, b):
-        """Exact quotient by z_a - z_b, by synthetic division in z_a.
-
-        Along each diagonal (z_a^j z_b^(s-j) times a fixed monomial in the
-        other variables) the quotient coefficient of z_a^(j-1) z_b^(s-j) is
-        the sum of the coefficients at z_a-degree >= j, and the remainder is
-        the sum of the whole diagonal; raises ValueError when a remainder
-        is nonzero.
-        """
-        diagonals = {}
-        for e, c in self.terms.items():
-            j = e[a]
-            key = list(e)
-            key[a] = 0
-            key[b] += j
-            diagonals.setdefault(tuple(key), {})[j] = c
-        out = {}
-        for key, diag in diagonals.items():
-            q = list(key)
-            s = key[b]
-            run = self.field.zero
-            for j in range(max(diag), 0, -1):
-                if j in diag:
-                    run = run + diag[j]
-                if run:
-                    q[a] = j - 1
-                    q[b] = s - j
-                    out[tuple(q)] = run
-            if 0 in diag:
-                run = run + diag[0]
-            if run:
-                raise ValueError("not divisible by z%d - z%d" % (a + 1, b + 1))
-        return MultiPoly(self.nvars, out, self.field, _clean=True)
-
     # -- printing ----------------------------------------------------------
 
     def to_str(self, names=None):
@@ -324,3 +292,16 @@ class MultiPoly:
 
     def __repr__(self):
         return "MultiPoly(%s)" % self.to_str()
+
+
+def packed_product(a, b):
+    """The product of two {packed exponent vector: int} polynomials
+    (``MultiPoly.packed``); a monomial product is one int addition."""
+    bterms = list(b.items())
+    acc = {}
+    get = acc.get
+    for ka, x in a.items():
+        for kb, y in bterms:
+            k = ka + kb
+            acc[k] = get(k, 0) + x * y
+    return acc

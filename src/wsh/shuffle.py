@@ -6,25 +6,30 @@ g(z_i - z_j) = h(z_i - z_j)/(z_i - z_j) across the two blocks, with
 
     h(u) = (u + 1 - kappa)(u - 1)(u + kappa).
 
-No rational function is formed.  The Vandermonde Δ_n = prod_{a<b} (z_a -
-z_b) is the product W of the cross differences times the within-block
-Vandermondes V, so Δ_n/σ(W) = sgn(σ)·σ(V) for every shuffle σ.  The
-product times Δ_n is therefore one signed symmetrization of P·Q·K_{r,s},
-where K_{r,s} = (h-cross factor)·V is cached per shape, and it is divided
-by Δ_n one linear factor z_a - z_b at a time.  The relations checked here
-are the free-algebra relation elements of ``presentation``, realized with
-t1[k] going to z^k (ShuffleContext.realize).
+No rational function is formed.  With G = P·Q·H_{r,s}, H_{r,s} the
+h-cross factor and W the product of the cross differences z_i - z_j,
+
+    sum over σ in Sh(r,s) of σ(G/W) = ∂_{w_{r,s}} G,
+
+the divided difference of the Grassmannian permutation of length r·s:
+∂_{w_0} F = sum over w in S_n of w(F/Δ_n), ∂_{w_0} = ∂_{w_{r,s}} ∘
+∂_{w_0^(r) x w_0^(s)}, and the second factor sends G times the
+within-block Vandermondes to r!·s!·G (Macdonald, Notes on Schubert
+Polynomials, 1991, ch. II).  The reduced word applies, 1-based, for
+b = r, r-1, ..., 1 the steps ∂_b, ∂_{b+1}, ..., ∂_{b+s-1}, with
+∂_i f = (f - s_i f)/(z_i - z_{i+1}); star_product gives the width bound.
+The relations checked here are the free-algebra relation elements of
+``presentation``, realized with t1[k] going to z^k (ShuffleContext.realize).
 """
 
 from __future__ import annotations
 
 import random
-from itertools import combinations
-from math import comb, prod
+from math import prod
 
 from .checks import CheckOutcome
 from .linalg import _norm1, _norm_inf, _slot_width, cleared, ring_row
-from .multipoly import MultiPoly
+from .multipoly import MultiPoly, packed_product
 from .operators import WindowError, skipped
 from .presentation import T1, FreeAlgebra, Realization, kernel_certificate, t1_word
 
@@ -80,19 +85,17 @@ class Kernel:
         return out
 
     def cross_factor(self, r, s) -> MultiPoly:
-        """K_{r,s} = prod_{i<r<=j} h(z_i - z_j) · Δ(z_1..z_r) · Δ(z_{r+1}..z_n),
-        with Δ the Vandermonde product prod_{a<b} (z_a - z_b); cached per
-        shape (r, s)."""
-        K = self._cross.get((r, s))
-        if K is None:
+        """H_{r,s} = prod_{i<r<=j} h(z_i - z_j) over the cross pairs
+        (0-based i, j); cached per shape (r, s)."""
+        H = self._cross.get((r, s))
+        if H is None:
             n = r + s
-            K = MultiPoly.constant(self.field.one, n, self.field)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    d = _difference(i, j, n, self.field)
-                    K = K * (self.h_of(d) if i < r <= j else d)
-            self._cross[r, s] = K
-        return K
+            H = MultiPoly.constant(self.field.one, n, self.field)
+            for i in range(r):
+                for j in range(r, n):
+                    H = H * self.h_of(_difference(i, j, n, self.field))
+            self._cross[r, s] = H
+        return H
 
 
 class ShuffleElem:
@@ -157,12 +160,12 @@ def _difference(i, j, nvars, field):
 
 
 def star_product(P: ShuffleElem, Q: ShuffleElem, kernel: Kernel) -> ShuffleElem:
-    """Shuffle product with the g = h/z twist: the sum over (r,s)-shuffles
-    σ of σ(P·Q·prod_{i<r<=j} h(z_i - z_j)/(z_i - z_j)).
-
-    Since Δ_n/σ(W) = sgn(σ)·σ(V) (module docstring), the sum is
-    (sum of sgn(σ)·σ(F)) / Δ_n with F = P·Q·K_{r,s}; the division runs
-    over the linear factors z_a - z_b and is checked exact.
+    """Shuffle product with the g = h/z twist, ∂_{w_{r,s}}(P·Q·H_{r,s})
+    (module docstring).  P, Q and H_{r,s} are cleared and packed once, the
+    coefficients at a slot width w and each exponent vector into one int;
+    their packed-term product goes through the r·s steps of the reduced
+    word and is unpacked and reduced once.  The width holds the product
+    bound of G times prod_{t<rs}(D+1-t), D its total degree.
     """
     r, s = P.nvars, Q.nvars
     n = r + s
@@ -170,43 +173,58 @@ def star_product(P: ShuffleElem, Q: ShuffleElem, kernel: Kernel) -> ShuffleElem:
         return Q.scale(P.poly.coefficient(()))
     if s == 0:
         return P.scale(Q.poly.coefficient(()))
-    factors = (
-        P.poly.extend(n),
-        Q.poly.extend(n, offset=r),
-        kernel.cross_factor(r, s),
-    )
+    Pn, Qn = P.poly.extend(n), Q.poly.extend(n, offset=r)
+    factors = (Pn, kernel.cross_factor(r, s), Qn)
     images = [cleared(f.terms.values(), f.field) for f in factors]
+    degree = sum(f.total_degree() for f in factors)
     w = None
     if P.field.mode == "exact":
-        # every value below is bounded by the product bound of F, times the
-        # number of shuffles, times the length of a diagonal (at most the
-        # total degree + 1) at each division
-        (_, p), (_, q), (_, k) = images
-        degree = sum(f.total_degree() for f in factors)
-        growth = comb(n, r) * prod(degree + 1 - i for i in range(n * (n - 1) // 2))
-        bound = sum(map(_norm1, p)) * sum(map(_norm1, q)) * max(map(_norm_inf, k))
-        w = _slot_width(bound * growth)
-    pi, qi, ki = (f.integer_image(c, w) for f, (_, c) in zip(factors, images))
-    acc = _signed_shuffle_sum(pi * qi * ki, r)
-    for a in range(n):
-        for b in range(a + 1, n):
-            acc = acc.div_linear(a, b)
-    return ShuffleElem(acc.over([den for den, _ in images], w, P.field))
+        # B = Σ‖p‖₁·Σ‖q‖₁·max‖h‖∞ bounds the kappa-coefficients of G: a
+        # coefficient of G has one product p·q·h per (P-term, Q-term) pair.
+        # Step t < r·s maps a polynomial of total degree at most D - t, and
+        # its output at z_i^u z_{i+1}^v is a signed sum of the inputs at
+        # z_i^a z_{i+1}^b, a + b = u + v + 1, the other exponents fixed: at
+        # most D + 1 - t of them.  The steps are Z-linear, so they commute
+        # with packing and only the result needs B·prod_{t<rs}(D+1-t).
+        (_, p), (_, h), (_, q) = images
+        bound = sum(map(_norm1, p)) * sum(map(_norm1, q)) * max(map(_norm_inf, h))
+        w = _slot_width(bound * prod(degree + 1 - t for t in range(r * s)))
+    ew = _slot_width(degree)
+    pi, hi, qi = (f.integer_image(c, w).packed(ew) for f, (_, c) in zip(factors, images))
+    G = packed_product(packed_product(pi, hi), qi)  # half the pairs of (P·Q)·H
+    for b in range(r - 1, -1, -1):
+        for i in range(b, b + s):
+            G = _divided_difference(G, i, ew)
+    image = MultiPoly.unpacked(n, G, ew)
+    return ShuffleElem(image.over([den for den, _ in images], w, P.field))
 
 
-def _signed_shuffle_sum(F: MultiPoly, r) -> MultiPoly:
-    """sum over (r, n-r)-shuffles σ of sgn(σ)·σ(F)."""
-    n = F.nvars
-    acc = MultiPoly.zero(n, F.field)
-    for subset in combinations(range(n), r):
-        perm = list(subset) + [x for x in range(n) if x not in subset]
-        term = F.permute_vars(perm)  # original position i goes to perm[i]
-        # sgn(σ) counts the pairs (subset element, smaller complement element)
-        if (sum(subset) - r * (r - 1) // 2) % 2:
-            acc = acc - term
+def _divided_difference(terms, i, ew):
+    """∂_i (0-based) on packed terms with exponent slots of ew bits:
+    c·z_i^a z_{i+1}^b goes to c·Σ_{k<a-b} z_i^(b+k) z_{i+1}^(a-1-k) when
+    a > b, to minus that sum with a and b exchanged when a < b, else to 0."""
+    lo = i * ew
+    hi = lo + ew
+    mask = (1 << ew) - 1
+    step = (1 << lo) - (1 << hi)  # z_i^(u+1) z_{i+1}^(v-1) from z_i^u z_{i+1}^v
+    out = {}
+    get = out.get
+    for key, c in terms.items():
+        a = key >> lo & mask
+        b = key >> hi & mask
+        if a > b and c:
+            m = a - b
+            key += ((m - 1) << hi) - (m << lo)  # z_i^b z_{i+1}^(a-1)
+        elif a < b and c:
+            m = b - a
+            key -= 1 << hi  # z_i^a z_{i+1}^(b-1)
+            c = -c
         else:
-            acc = acc + term
-    return acc
+            continue
+        for _ in range(m):
+            out[key] = get(key, 0) + c
+            key += step
+    return out
 
 
 class ShuffleContext:

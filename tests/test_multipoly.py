@@ -73,6 +73,57 @@ def test_symmetrize_and_is_symmetric():
     assert not p.is_symmetric()
 
 
+def is_symmetric_oracle(p):
+    """Invariance under each adjacent transposition, by permuted copies."""
+    for i in range(p.nvars - 1):
+        perm = list(range(p.nvars))
+        perm[i], perm[i + 1] = perm[i + 1], perm[i]
+        if p.permute_vars(perm) != p:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("field", [F, S])
+@pytest.mark.parametrize("nvars", [3, 4])
+def test_is_symmetric_finds_a_missing_member_or_an_unequal_coefficient(field, nvars):
+    """Symmetrized polynomials with large and kappa-rational coefficients
+    are symmetric; without any one member of an orbit of two or more
+    terms, or with one coefficient changed, they are not, and a
+    polynomial symmetric in all but the last two variables is not."""
+    rng = random.Random(nvars)
+    for _ in range(3):
+        p = random_poly(rng, nvars, field, terms=3).symmetrize()
+        assert p.is_symmetric()
+        for e, c in p.terms.items():
+            moved = len(set(e)) > 1  # e is not fixed by every permutation
+            missing = MultiPoly(nvars, {f: d for f, d in p.terms.items() if f != e}, field)
+            changed = MultiPoly(nvars, {**p.terms, e: c + field.one}, field)
+            for q in (missing, changed):
+                assert q.is_symmetric() == is_symmetric_oracle(q) == (not moved)
+    z = [MultiPoly.variable(i, nvars, field) for i in range(nvars)]
+    head = sum(z[1 : nvars - 1], z[0])
+    for q in (z[-1], head, head * head * z[-1] + z[-1] * z[-1]):
+        assert not q.is_symmetric() and not is_symmetric_oracle(q)
+    assert (head + z[-1]).is_symmetric()
+
+
+@pytest.mark.parametrize("field", [F, S])
+def test_is_symmetric_matches_permuted_copies(field):
+    """The zero polynomial in 0..4 variables is symmetric; seeded
+    polynomials, half of them symmetrized in the first variables only,
+    agree with the permuted-copy predicate."""
+    for nvars in range(5):
+        assert MultiPoly.zero(nvars, field).is_symmetric()
+    rng = random.Random(31)
+    for nvars in (2, 3, 4):
+        for t in range(8):
+            p = random_poly(rng, nvars, field, terms=rng.randint(1, 5))
+            if t % 2:
+                q = random_poly(rng, nvars - 1, field, terms=2).symmetrize()
+                p = q.extend(nvars)
+            assert p.is_symmetric() == is_symmetric_oracle(p)
+
+
 def test_extend_and_substitute():
     x = MultiPoly.variable(0, 1, F)
     p = (x + 1) ** 2
@@ -132,25 +183,6 @@ def test_integer_image_round_trip(field):
     assert image.field is INTEGERS
     assert all(type(c) is int for c in image.terms.values())
     assert image.over([den], w, field) == p
-
-
-def test_div_linear():
-    rng = random.Random(11)
-    for field in (F, S):
-        z = [MultiPoly.variable(i, 3, field) for i in range(3)]
-        q = random_poly(rng, 3, field, terms=5, degree=3)
-        for a, b in ((0, 1), (2, 0), (1, 2)):
-            assert (q * (z[a] - z[b])).div_linear(a, b) == q
-        assert MultiPoly.zero(3, field).div_linear(0, 2) == MultiPoly.zero(3, field)
-    x, y = var(0), var(1)
-    assert (x**2 - y**2).div_linear(0, 1) == x + y
-    with pytest.raises(ValueError):
-        (x**2 + y).div_linear(0, 1)
-    with pytest.raises(ValueError):
-        (x**2 + y).div_linear(1, 0)
-    n = MultiPoly(2, {(2, 0): 1, (0, 1): 1}, INTEGERS)
-    with pytest.raises(ValueError):
-        n.div_linear(0, 1)
 
 
 def test_product_coefficient_at_the_slot_bound():

@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import prod
 
 import pytest
 from conftest import (
@@ -12,11 +14,19 @@ from conftest import (
 )
 from test_multipoly import random_poly
 
+from wsh import linalg
 from wsh.field import RationalFunctionField, SpecializedField
+from wsh.linalg import _norm1, _norm_inf, _slot_width
 from wsh.multipoly import MultiPoly
 from wsh.operators import OpContext
 from wsh.presentation import FreeAlgebra, kernel_certificate, t1_word
-from wsh.shuffle import Kernel, ShuffleContext, ShuffleElem, star_product
+from wsh.shuffle import (
+    Kernel,
+    ShuffleContext,
+    ShuffleElem,
+    _divided_difference,
+    star_product,
+)
 
 F = RationalFunctionField()
 S = SpecializedField(Fraction(7, 3))
@@ -181,20 +191,169 @@ def test_star_product_matches_oracle(field):
 
 
 def test_cross_factor_is_the_cached_termwise_product():
-    """K_{r,s} against the product of h(z_i - z_j) = (u+1-k)(u-1)(u+k) and
-    z_i - z_j, one linear factor at a time, with the termwise product."""
+    """H_{r,s} against the product of h(z_i - z_j) = (u+1-k)(u-1)(u+k) over
+    the cross pairs i < r <= j only, one linear factor at a time, with the
+    termwise product."""
     ker = Kernel(F)
     k = F.kappa
     for r, s in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 1)):
         n = r + s
         one = MultiPoly.constant(F.one, n, F)
         want = one
-        for i in range(n):
-            for j in range(i + 1, n):
+        for i in range(r):
+            for j in range(r, n):
                 d = z(i, n) - z(j, n)
-                roots = (k - 1, F.one, -k) if i < r <= j else (F.zero,)
-                for root in roots:
+                for root in (k - 1, F.one, -k):
                     want = multipoly_mul_oracle(want, d - one * root)
         got = ker.cross_factor(r, s)
         assert got == want
+        assert got.total_degree() == 3 * r * s
         assert ker.cross_factor(r, s) is got
+
+
+def divided_difference_oracle(f, i):
+    """(f - f∘s_i).divexact(z_i - z_{i+1}), 0-based i."""
+    n = f.nvars
+    perm = list(range(n))
+    perm[i], perm[i + 1] = perm[i + 1], perm[i]
+    d = MultiPoly.variable(i, n, f.field) - MultiPoly.variable(i + 1, n, f.field)
+    return (f - f.permute_vars(perm)).divexact(d)
+
+
+def packed_divided_difference(f, i):
+    """∂_i f along star_product's path: the cleared numerators packed at a
+    width that holds any signed sum of them, exponent vectors packed, one
+    step, then unpacked and reduced."""
+    field = f.field
+    den, nums = linalg.cleared(f.terms.values(), field)
+    w = None if field.mode == "specialized" else _slot_width(sum(map(_norm1, nums)))
+    ew = _slot_width(max(f.total_degree(), 1))
+    out = _divided_difference(f.integer_image(nums, w).packed(ew), i, ew)
+    return MultiPoly.unpacked(f.nvars, out, ew).over([den], w, field)
+
+
+@pytest.mark.parametrize("field", [F, S])
+def test_divided_difference_matches_exact_division(field):
+    """Seeded polynomials in 2-4 variables with ±2^70 and kappa-rational
+    coefficients, plus terms with equal exponents at every adjacent pair
+    (they vanish), the zero polynomial and symmetric polynomials (∂_i of
+    them is 0)."""
+    rng = random.Random(1729)
+    big = field.from_int(2**70)
+    for n in (2, 3, 4):
+        zero = MultiPoly.zero(n, field)
+        sym = random_poly(rng, n, field, terms=3).symmetrize()
+        for i in range(n - 1):
+            assert packed_divided_difference(zero, i) == zero
+            assert packed_divided_difference(sym, i) == zero
+        for _ in range(4):
+            f = random_poly(rng, n, field, terms=6, degree=4)
+            f = f + MultiPoly(n, {(3,) * n: big, (1,) * n: -big}, field)
+            for i in range(n - 1):
+                got = packed_divided_difference(f, i)
+                assert got == divided_difference_oracle(f, i)
+    # a > b, a < b and a = b on single terms
+    c = field.from_int(-(2**70) + 1)
+    mono = lambda e: MultiPoly(2, {e: c}, field)
+    for e in ((4, 1), (1, 4), (2, 2), (1, 0), (0, 1), (0, 0)):
+        assert packed_divided_difference(mono(e), 0) == divided_difference_oracle(mono(e), 0)
+
+
+def _kernel_value(u, kappa):
+    """g(u) = h(u)/u at kappa, h(u) = (u + 1 - kappa)(u - 1)(u + kappa)."""
+    return (u + 1 - kappa) * (u - 1) * (u + kappa) / u
+
+
+def _value(poly, point, kappa):
+    """A polynomial over the field at z = point and kappa."""
+    if poly.field.mode == "exact":
+        return _value(_at_kappa(poly, kappa), point, kappa)
+    return sum(c * prod(x**k for x, k in zip(point, e)) for e, c in poly.terms.items())
+
+
+def _at_kappa(poly, kappa):
+    """A polynomial over Q(kappa) with kappa set to a rational."""
+    terms = {e: c.evaluate(kappa) for e, c in poly.terms.items()}
+    return MultiPoly(poly.nvars, terms, SpecializedField(kappa))
+
+
+def shuffle_sum_at(P, Q, point, kappa):
+    """The defining sum over (r,s)-shuffles at a point: over r-subsets S,
+    P(z_S)·Q(z_rest)·prod_{i in S, j not in S} g(z_i - z_j)."""
+    n = P.nvars + Q.nvars
+    total = Fraction(0)
+    for sub in combinations(range(n), P.nvars):
+        rest = [j for j in range(n) if j not in sub]
+        term = _value(P.poly, [point[i] for i in sub], kappa)
+        term *= _value(Q.poly, [point[j] for j in rest], kappa)
+        for i in sub:
+            for j in rest:
+                term *= _kernel_value(point[i] - point[j], kappa)
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("field", [F, S])
+@pytest.mark.parametrize("r, s", [(2, 2), (1, 3), (3, 1), (2, 3)])
+def test_star_product_matches_the_shuffle_sum_at_points(field, r, s):
+    """With coefficients ±(2^64 - 1), ±2^70 times (2^64 - 1) and
+    kappa-rational ones, the product agrees with the defining sum at four
+    seeded points with distinct integer coordinates (and, in exact mode, a
+    seeded rational kappa)."""
+    rng = random.Random(10 * r + s)
+    ker = Kernel(field)
+    m = field.from_int(2**64 - 1)
+    P = ShuffleElem((random_poly(rng, r, field, terms=2) * m).symmetrize())
+    Q = ShuffleElem(random_poly(rng, s, field, terms=2).symmetrize() * -m)
+    got = star_product(P, Q, ker)
+    kappa = S.kappa if field is S else Fraction(rng.randint(-999, 999), rng.randint(1, 99))
+    if field is F:
+        got = ShuffleElem(_at_kappa(got.poly, kappa))
+    for _ in range(4):
+        point = [rng.randint(-(10**6), 10**6) for _ in range(r + s)]
+        assert len(set(point)) == r + s
+        assert _value(got.poly, point, kappa) == shuffle_sum_at(P, Q, point, kappa)
+
+
+def test_star_product_of_shape_2_3_matches_oracle():
+    """Shape (2,3) against the oracle at kappa = 7/3, on constant factors:
+    the oracle's divisions by the five-variable Vandermonde take about 20 s
+    even here."""
+    ker = Kernel(S)
+    P = ShuffleElem(MultiPoly.constant(S.from_int(3), 2, S))
+    Q = ShuffleElem(MultiPoly.constant(S.from_int(-(2**40)), 3, S))
+    assert star_product(P, Q, ker) == star_product_oracle(P, Q, ker)
+
+
+@pytest.mark.parametrize(
+    "P, Q",
+    [
+        ({(0,): 1}, {(0,): -1}),
+        ({(0,): 1}, {(1, 1): 1}),
+        ({(1, 1): 1}, {(0,): 1}),
+        ({(0,): 1}, {(2, 2, 2): 1}),
+        ({(2, 2, 2): 1}, {(0,): 1}),
+    ],
+)
+def test_star_product_past_the_plain_product_bound(P, Q):
+    """Results with a kappa-coefficient of at least 2^bitlen(B), where
+    B = Σ‖p‖₁·Σ‖q‖₁·max‖h‖∞ bounds the coefficients of P·Q·H_{r,s}: a slot
+    width without star_product's growth factor decodes them wrongly.  The
+    coefficient of Q puts B just below a power of two.  No such input was
+    found for (2,2) or (2,3): over monomial symmetric factors with
+    exponents up to 8 and 4 (and so, by the triangle inequality, over
+    their combinations) the largest result coefficient stays within 2/3
+    and 3/10 of B."""
+    ker = Kernel(F)
+    r, s = len(next(iter(P))), len(next(iter(Q)))
+    hmax = max(_norm_inf(h.num) for h in ker.cross_factor(r, s).terms.values())
+    c = 2**40
+    top = 1 << (c * c * hmax).bit_length()
+    d = (top - 1) // (c * hmax)
+    P = ShuffleElem(MultiPoly(r, {e: F.from_int(c * v) for e, v in P.items()}, F))
+    Q = ShuffleElem(MultiPoly(s, {e: F.from_int(d * v) for e, v in Q.items()}, F))
+    bound = c * d * hmax
+    assert bound.bit_length() == top.bit_length() - 1
+    got = star_product(P, Q, ker)
+    assert got == star_product_oracle(P, Q, ker)
+    assert max(max(x.num) for x in got.poly.terms.values()) >= top
