@@ -163,9 +163,9 @@ def star_product(P: ShuffleElem, Q: ShuffleElem, kernel: Kernel) -> ShuffleElem:
     """Shuffle product with the g = h/z twist, ∂_{w_{r,s}}(P·Q·H_{r,s})
     (module docstring).  P, Q and H_{r,s} are cleared and packed once, the
     coefficients at a slot width w and each exponent vector into one int;
-    their packed-term product goes through the r·s steps of the reduced
-    word and is unpacked and reduced once.  The width holds the product
-    bound of G times prod_{t<rs}(D+1-t), D its total degree.
+    (P·H)·Q (half the term pairs of (P·Q)·H) goes through the r·s steps of
+    the reduced word and is unpacked and reduced once.  The width holds
+    the product bound of G times prod_{t<rs}(D+1-t), D its total degree.
     """
     r, s = P.nvars, Q.nvars
     n = r + s
@@ -173,8 +173,7 @@ def star_product(P: ShuffleElem, Q: ShuffleElem, kernel: Kernel) -> ShuffleElem:
         return Q.scale(P.poly.coefficient(()))
     if s == 0:
         return P.scale(Q.poly.coefficient(()))
-    Pn, Qn = P.poly.extend(n), Q.poly.extend(n, offset=r)
-    factors = (Pn, kernel.cross_factor(r, s), Qn)
+    factors = (P.poly.extend(n), kernel.cross_factor(r, s), Q.poly.extend(n, offset=r))
     images = [cleared(f.terms.values(), f.field) for f in factors]
     degree = sum(f.total_degree() for f in factors)
     w = None
@@ -190,21 +189,21 @@ def star_product(P: ShuffleElem, Q: ShuffleElem, kernel: Kernel) -> ShuffleElem:
         bound = sum(map(_norm1, p)) * sum(map(_norm1, q)) * max(map(_norm_inf, h))
         w = _slot_width(bound * prod(degree + 1 - t for t in range(r * s)))
     ew = _slot_width(degree)
-    pi, hi, qi = (f.integer_image(c, w).packed(ew) for f, (_, c) in zip(factors, images))
-    G = packed_product(packed_product(pi, hi), qi)  # half the pairs of (P·Q)·H
+    pi, hi, qi = (f.integer_image(c, w) for f, (_, c) in zip(factors, images))
+    G = packed_product(packed_product(pi.packed(ew), hi.packed(ew)), qi.packed(ew))
     for b in range(r - 1, -1, -1):
         for i in range(b, b + s):
             G = _divided_difference(G, i, ew)
-    image = MultiPoly.unpacked(n, G, ew)
-    return ShuffleElem(image.over([den for den, _ in images], w, P.field))
+    image = MultiPoly.unpacked(n, G, ew).over([d for d, _ in images], w, P.field)
+    return ShuffleElem(image)
 
 
 def _divided_difference(terms, i, ew):
     """∂_i (0-based) on packed terms with exponent slots of ew bits:
     c·z_i^a z_{i+1}^b goes to c·Σ_{k<a-b} z_i^(b+k) z_{i+1}^(a-1-k) when
-    a > b, to minus that sum with a and b exchanged when a < b, else to 0."""
-    lo = i * ew
-    hi = lo + ew
+    a > b, to minus that sum with a and b exchanged when a < b, else to 0;
+    a term and its mirror z_i^b z_{i+1}^a share the sum and go together."""
+    lo, hi = i * ew, (i + 1) * ew
     mask = (1 << ew) - 1
     step = (1 << lo) - (1 << hi)  # z_i^(u+1) z_{i+1}^(v-1) from z_i^u z_{i+1}^v
     out = {}
@@ -212,18 +211,20 @@ def _divided_difference(terms, i, ew):
     for key, c in terms.items():
         a = key >> lo & mask
         b = key >> hi & mask
-        if a > b and c:
+        if a > b:
             m = a - b
+            c -= terms.get(key - m * step, 0)
             key += ((m - 1) << hi) - (m << lo)  # z_i^b z_{i+1}^(a-1)
-        elif a < b and c:
+        elif a < b and key + (b - a) * step not in terms:
             m = b - a
             key -= 1 << hi  # z_i^a z_{i+1}^(b-1)
             c = -c
         else:
             continue
-        for _ in range(m):
-            out[key] = get(key, 0) + c
-            key += step
+        if c:
+            for _ in range(m):
+                out[key] = get(key, 0) + c
+                key += step
     return out
 
 
