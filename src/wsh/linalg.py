@@ -16,7 +16,10 @@ Three layers work on it:
   clears denominators once per row and column, multiplies the
   numerators with a ring product and reduces each result entry once, for
   the Jack-basis products and the eigenvalues of decoded operator blocks;
-* one fraction-free echelon form ("SpanBasis") on primitive ring rows.
+* one fraction-free echelon form ("SpanBasis") on primitive ring rows,
+  Z[kappa]-primitive rows in exact mode: each elimination step divides
+  the pivot pair by its gcd and the new row by the gcd of its entries in
+  Z[kappa], which keeps the kappa-degrees from doubling with each pivot.
   Rank, membership and the rank certificates at rational kappa points all
   go through it; a certificate evaluates ring rows with integer Horner.
 """
@@ -248,11 +251,33 @@ def _strip_int_content(row):
 
 
 def _row_eliminate(v, b, col):
-    """Fraction-free elimination of column col from v using row b."""
-    f = v[col]
-    p = b[col]
-    out = [P.psub(P.pmul(p, x), P.pmul(f, y)) for x, y in zip(v, b)]
-    return _strip_content(out)
+    """Fraction-free elimination of column col from v using row b.  The
+    pivot pair is divided by its gcd first, and the result by the gcd of
+    its entries in Z[kappa], so the row it gives is Z[kappa]-primitive and
+    its kappa-degrees stay bounded (Bareiss, Math. Comp. 22 (1968))."""
+    f, p = v[col], b[col]
+    g = P.pgcd(f, p)
+    if g != _ONE:
+        f, p = P.pdivexact(f, g), P.pdivexact(p, g)
+    return _strip_kappa_content(
+        [P.psub(P.pmul(p, x), P.pmul(f, y)) for x, y in zip(v, b)]
+    )
+
+
+def _strip_kappa_content(row):
+    """A row of integer kappa-polynomials over the gcd of its entries in
+    Z[kappa], taken with a positive leading coefficient."""
+    g = None
+    for p in row:
+        if not p:
+            continue
+        g = (p if p[-1] > 0 else P.pneg(p)) if g is None else P.pgcd(g, p)
+        if len(g) == 1:
+            # the gcd is an integer from here on
+            return _strip_content(row) if g[0] > 1 else row
+    if g is None or g == _ONE:
+        return row
+    return [P.pdivexact(p, g) if p else p for p in row]
 
 
 def _int_row_eliminate(v, b, col):
@@ -266,7 +291,7 @@ def _int_row_eliminate(v, b, col):
 
 class SpanBasis:
     """Incremental row-echelon basis over the field, fraction-free: rows
-    are primitive integer kappa-polynomial rows in exact mode and
+    are Z[kappa]-primitive integer kappa-polynomial rows in exact mode and
     primitive int rows otherwise (kappa specialized, or ``INTEGERS``)."""
 
     def __init__(self, field):
@@ -291,6 +316,8 @@ class SpanBasis:
         piv = next((j for j, p in enumerate(row) if p), None)
         if piv is None:
             return False
+        if self.field.mode == "exact":
+            row = _strip_kappa_content(row)
         self.rows.append((piv, row))
         self.rows.sort(key=lambda t: t[0])
         return True

@@ -329,8 +329,9 @@ class OpContext:
         """The commuting rank-0 operator D_{0,l}, diagonal on the Jack basis
         with eigenvalue sum-of-content-powers (exponent l-1), built from
         the moments of the Lax operator (``SymmetricFunctions.
-        commuting_ints``) with no Jack basis.  One build gives every
-        D_{0,m}, m <= l, not yet cached; the moments are not kept."""
+        commuting_ints``) with no Jack basis.  One call gives every
+        D_{0,m}, m <= l, not yet cached, extending the moments that
+        ``self.sym`` keeps, never the cached operators."""
         if l < 1:
             raise ValueError("index must be >= 1")
         if l not in self._sek:
@@ -367,12 +368,14 @@ class OpContext:
         return self._drd[r, d]
 
     def dprime(self, r, d) -> GradedOp:
-        """D'_{r,d}: d-fold bracket of the order-2 commuting operator."""
+        """D'_{r,d}: d-fold bracket of the order-2 commuting operator with
+        D_{r,0}, one bracket on D'_{r,d-1}."""
         if (r, d) not in self._dprime:
-            op = self.drd(r, 0)
-            for _ in range(d):
-                op = self.sekiguchi(2).commutator(op)
-            self._dprime[r, d] = op
+            self._dprime[r, d] = (
+                self.sekiguchi(2).commutator(self.dprime(r, d - 1))
+                if d
+                else self.drd(r, 0)
+            )
         return self._dprime[r, d]
 
     def lowering(self, k) -> GradedOp:
@@ -441,28 +444,33 @@ class OpContext:
     # -- order filtration --------------------------------------------------
 
     def filtration_span(self, r, d):
-        """Echelonized span of the inductive order filtration piece
-        (rank r, order <= d) of the raising half, as flattened operators."""
+        """Echelonized span of the inductive order filtration piece (rank r,
+        order <= d) of the raising half, as flattened operators: the piece
+        of order d - 1 extended by the candidates of ``_candidates``."""
         if d < 0:
-            return _Span(self.field, [])
+            return _Span(self.field, ())
         key = (r, d)
         if key not in self._spans:
-            if r == 1:
-                ops = [self.d1(k) for k in range(d + 1)]
-            else:
-                ops = []
-                for r1 in range(1, r):
-                    r2 = r - r1
-                    for d1 in range(d + 1):
-                        d2 = d - d1
-                        for a in self.filtration_span(r1, d1).ops:
-                            for b in self.filtration_span(r2, d2).ops:
-                                ops.append(a.compose(b))
-                for l in range(0, d + 2):
-                    for a in self.filtration_span(r - 1, d - l + 1).ops:
-                        ops.append(self.d1(l).commutator(a))
-            self._spans[key] = _Span(self.field, ops)
+            below = self.filtration_span(r, d - 1)
+            self._spans[key] = _Span(self.field, self._candidates(r, d), below)
         return self._spans[key]
+
+    def _candidates(self, r, d):
+        """The products a·b and brackets [D_{1,l}, a] of order d that can
+        leave the piece of order d - 1: those whose factors are new at
+        their orders (``_Span.new``).  The pieces are nested, so a product
+        or bracket with a factor from a lower piece lies in F(r, d - 1)."""
+        if r == 1:
+            yield self.d1(d)
+            return
+        for r1 in range(1, r):
+            for d1 in range(d + 1):
+                for a in self.filtration_span(r1, d1).new:
+                    for b in self.filtration_span(r - r1, d - d1).new:
+                        yield a.compose(b)
+        for l in range(0, d + 2):
+            for a in self.filtration_span(r - 1, d - l + 1).new:
+                yield self.d1(l).commutator(a)
 
     def free_monomial_count(self, r, d):
         """Number of monomials of bidegree exactly (rank r, order d) in free
@@ -496,14 +504,15 @@ class OpContext:
 
 
 class _Span:
-    """Echelonized span of flattened graded operators of one rank."""
+    """Echelonized span of flattened graded operators of one rank: the
+    span ``below`` (if any) extended by the candidates, and the candidates
+    that raised its dimension (``new``)."""
 
-    def __init__(self, field, candidates):
+    def __init__(self, field, candidates, below=None):
         self.basis = linalg.SpanBasis(field)
-        self.ops = []
-        for op in candidates:
-            if self.basis.add_row(op.flatten()):
-                self.ops.append(op)
+        if below is not None:
+            self.basis.rows = list(below.basis.rows)
+        self.new = [op for op in candidates if self.basis.add_row(op.flatten())]
 
     @property
     def dim(self):

@@ -147,10 +147,11 @@ def _moment_bound(n: int, lmax: int):
     return max(Z + D)
 
 
-def _commuting_ints(n: int, ls, P: int, Q: int):
-    """Q^(l-1) D_{0,l} at degree n for each l in ls, with kappa = P/Q, as
-    int matrices; exact over Z[kappa] when Q = 1 and P = 2^w is a
-    Kronecker slot wide enough for every coefficient.
+class _LaxMoments:
+    """The Lax moments at degree n and kappa = P/Q, kept so that a larger
+    index extends them (``ints``): Q^(l-1) D_{0,l} for l <= top as int
+    matrices, exact over Z[kappa] when Q = 1 and P = 2^w is a Kronecker
+    slot wide enough for every coefficient.
 
     A_m = Q^m a_m, a_m the Lambda_n -> Lambda_n block of L^m; the a_m
     commute, a_1 = 0 and a_2 = kappa n.  The log-derivative z_m =
@@ -163,42 +164,58 @@ def _commuting_ints(n: int, ls, P: int, Q: int):
     have degree at most m - 1, and since the kappa^e terms cancel in the
     bracket, D_{0,l} has degree at most l - 1.  Rows are packed into one
     int each, so each step of L^m is a short sum of ints.  Every unpacked
-    value is an entry of Q^m z_m(P/Q) (m < lmax) or of Q^(l-1) D_{0,l}(P/Q),
-    so at most _moment_bound(n, lmax) (|P| + Q)^(lmax - 1).
+    value is an entry of Q^m z_m(P/Q) (m < top) or of Q^(l-1) D_{0,l}(P/Q),
+    so at most _moment_bound(n, top) (|P| + Q)^(top - 1), which fixes the
+    slot width for every index up to top.
     """
-    lmax = max(ls)
-    d = len(partitions_of(n))
-    rows = [[(col, c0 * Q + c1 * P) for col, c0, c1 in r] for r in _lax_rows(n)]
-    w = _slot_width(_moment_bound(n, lmax) * (abs(P) + Q) ** (lmax - 1))
-    X = [1 << (w * t) if t < d else 0 for t in range(len(rows))]
-    A = [X[:d]]
-    for m in range(1, lmax + 2):
-        top = d if m == lmax + 1 else len(rows)
-        X = [sum(c * X[col] for col, c in rows[t]) for t in range(top)]
-        A.append(X[:d])
-    # Z[m] packed, Zu[m] its entries; z_1 = a_1 = 0, so only k >= 2 and
-    # m - k >= 2 contribute to the sum, and Zu is read for m < lmax
-    Z, Zu = [None], [None]
-    for m in range(1, lmax + 2):
-        zm = [m * x for x in A[m]]
-        for k in range(2, m - 1):
-            Am = A[m - k]
-            for i, zrow in enumerate(Zu[k]):
-                zm[i] -= sum(c * Am[t] for t, c in enumerate(zrow) if c)
-        Z.append(zm)
-        Zu.append([_unpack_row(x, w, d) for x in zm] if m < lmax else None)
-    W = [None, [n << (w * t) for t in range(d)]]
-    for l in range(2, lmax + 1):
-        rhs = Z[l + 1] if l % 2 == 0 else [-x for x in Z[l + 1]]
-        for j in range(l - 1):
-            e = l + 1 - j
-            c = comb(l + 1, j) * ((P - Q) ** e - (-Q) ** e - P**e)
-            rhs = [x - c * y for x, y in zip(rhs, W[j + 1])]
-        den = -l * (l + 1) * P * Q
-        if any(x % den for x in rhs):
-            raise ArithmeticError("D_{0,%d} not integral at degree %d" % (l, n))
-        W.append([x // den for x in rhs])
-    return [[_unpack_row(x, w, d) for x in W[l]] for l in ls]
+
+    def __init__(self, n: int, P: int, Q: int, top: int):
+        d = self.d = len(partitions_of(n))
+        self.n, self.P, self.Q, self.top = n, P, Q, top
+        self.rows = [
+            [(col, c0 * Q + c1 * P) for col, c0, c1 in r] for r in _lax_rows(n)
+        ]
+        w = self.w = _slot_width(_moment_bound(n, top) * (abs(P) + Q) ** (top - 1))
+        # X: the V_n rows of L^m on Lambda_n, packed; A[m], Z[m] and W[l]:
+        # the packed rows of A_m, Q^m z_m and Q^(l-1) D_{0,l}; Zu[m]: the
+        # entries of Q^m z_m
+        self.X = [1 << (w * t) if t < d else 0 for t in range(len(self.rows))]
+        self.A = [self.X[:d]]
+        self.Z, self.Zu = [None], [None]
+        self.W = [None, [n << (w * t) for t in range(d)]]
+
+    def ints(self, l: int):
+        """Q^(l-1) D_{0,l} at degree n as an int matrix, 1 <= l <= top."""
+        if l > self.top:
+            raise ValueError("index %d beyond the slot width's %d" % (l, self.top))
+        P, Q, w, d = self.P, self.Q, self.w, self.d
+        A, Z, Zu, W, rows = self.A, self.Z, self.Zu, self.W, self.rows
+        while len(A) < l + 2:
+            X = self.X
+            self.X = [sum(c * X[col] for col, c in r) for r in rows]
+            A.append(self.X[:d])
+        # z_1 = a_1 = 0, so only k >= 2 and m - k >= 2 contribute to the sum
+        for m in range(len(Z), l + 2):
+            while len(Zu) < m - 1:
+                Zu.append([_unpack_row(x, w, d) for x in Z[len(Zu)]])
+            zm = [m * x for x in A[m]]
+            for k in range(2, m - 1):
+                Am = A[m - k]
+                for i, zrow in enumerate(Zu[k]):
+                    zm[i] -= sum(c * Am[t] for t, c in enumerate(zrow) if c)
+            Z.append(zm)
+        for j in range(len(W), l + 1):
+            rhs = Z[j + 1] if j % 2 == 0 else [-x for x in Z[j + 1]]
+            for i in range(j - 1):
+                e = j + 1 - i
+                c = comb(j + 1, i) * ((P - Q) ** e - (-Q) ** e - P**e)
+                rhs = [x - c * y for x, y in zip(rhs, W[i + 1])]
+            den = -j * (j + 1) * P * Q
+            if any(x % den for x in rhs):
+                msg = "D_{0,%d} not integral at degree %d" % (j, self.n)
+                raise ArithmeticError(msg)
+            W.append([x // den for x in rhs])
+        return [_unpack_row(x, w, d) for x in W[l]]
 
 
 def _unpack_row(x, w, d):
@@ -207,15 +224,23 @@ def _unpack_row(x, w, d):
     return out + (0,) * (d - len(out))
 
 
+# indices of D_{0,l} past the asked one that a new Lax-moment build makes
+# room for: the suites ask for l = 1, 2, ... one at a time, and a build
+# whose slots fit l + 2 serves the next two misses without starting again
+_SPARE_INDICES = 2
+
+
 class SymmetricFunctions:
     """The m<->p matrices, the pairing, the commuting operators and the
-    Jack matrix for one field context.  The Jack matrix and the pairing
-    are cached per degree; the rest is read once per Jack build."""
+    Jack matrix for one field context.  The Jack matrix, the pairing and
+    the Lax moments are cached per degree; the rest is read once per Jack
+    build."""
 
     def __init__(self, field):
         self.field = field
         self._jack = {}
         self._gram = {}
+        self._lax = {}
 
     # -- transition matrices ---------------------------------------------
 
@@ -243,18 +268,28 @@ class SymmetricFunctions:
         kappa-polynomials (coefficient tuples) over 1 in exact mode, ints
         over Q^(l-1) at kappa = P/Q.  From the moments of the Lax
         operator: no Jack basis, and one division per entry at the end.
-        Nothing is cached."""
-        field = self.field
-        if field.mode == "exact":
-            w = _slot_width(_moment_bound(n, max(ls)))
+        The moments are kept per degree, so a larger l extends them."""
+        lax = self._moments(n, max(ls))
+        if self.field.mode == "exact":
+            w = lax.P.bit_length() - 1  # the moments are taken at kappa = 2^w
             return [
-                (1, [[_unpack(x, w) for x in row] for row in mat])
-                for mat in _commuting_ints(n, ls, 1 << w, 1)
+                (1, [[_unpack(x, w) for x in row] for row in lax.ints(l)]) for l in ls
             ]
-        P, Q = field.kappa.numerator, field.kappa.denominator
-        return [
-            (Q ** (l - 1), mat) for l, mat in zip(ls, _commuting_ints(n, ls, P, Q))
-        ]
+        return [(lax.Q ** (l - 1), lax.ints(l)) for l in ls]
+
+    def _moments(self, n, lmax):
+        """The Lax moments at degree n, with slot widths for index lmax
+        or more: an index past the kept ones' widths starts them again,
+        with room for _SPARE_INDICES more."""
+        lax = self._lax.get(n)
+        if lax is None or lmax > lax.top:
+            top = lmax + _SPARE_INDICES
+            if self.field.mode == "exact":
+                P, Q = 1 << _slot_width(_moment_bound(n, top)), 1
+            else:
+                P, Q = self.field.kappa.numerator, self.field.kappa.denominator
+            lax = self._lax[n] = _LaxMoments(n, P, Q, top)
+        return lax
 
     def commuting_blocks(self, n, ls):
         """The blocks of ``commuting_ints`` as field-element matrices."""

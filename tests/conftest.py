@@ -542,6 +542,43 @@ def kernel_of_vectors(vectors, field):
     return basis.dim, kernel
 
 
+class FiltrationOracle:
+    """The order filtration of an OpContext with every piece echelonized
+    from all of its candidates: the products of the bases of F(r1, d1) and
+    F(r2, d2), d1 + d2 = d, and the brackets [D_{1,l}, F(r - 1, d - l + 1)],
+    l <= d + 1, with F(1, d) spanned by D_{1,0..d}.  The reference for
+    ``OpContext.filtration_span``, which extends F(r, d - 1) by the
+    candidates whose factors are new at their orders."""
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+        self._spans = {}
+
+    def span(self, r, d):
+        """(basis, ops): the echelon of F(r, d) and the candidates that
+        raised its dimension, a basis of it."""
+        ctx = self.ctx
+        if d < 0:
+            return linalg.SpanBasis(ctx.field), []
+        if (r, d) not in self._spans:
+            if r == 1:
+                cands = [ctx.d1(k) for k in range(d + 1)]
+            else:
+                cands = []
+                for r1 in range(1, r):
+                    for d1 in range(d + 1):
+                        for a in self.span(r1, d1)[1]:
+                            for b in self.span(r - r1, d - d1)[1]:
+                                cands.append(a.compose(b))
+                for l in range(d + 2):
+                    for a in self.span(r - 1, d - l + 1)[1]:
+                        cands.append(ctx.d1(l).commutator(a))
+            basis = linalg.SpanBasis(ctx.field)
+            ops = [op for op in cands if basis.add_row(op.flatten())]
+            self._spans[r, d] = basis, ops
+        return self._spans[r, d]
+
+
 @pytest.fixture(scope="session")
 def field():
     return RationalFunctionField()

@@ -67,6 +67,17 @@ def test_dims(capsys):
     assert all(row["match"] for row in doc["dimensions"])
 
 
+def test_dims_at_rank_three_in_exact_mode(capsys):
+    # the exact echelon of F(3, 3) at N = 8, which did not finish in minutes
+    # while eliminated rows kept their kappa-content
+    code, out, _ = run(capsys, "dims", "3", "3")
+    assert code == 0
+    rows = json.loads(out)["dimensions"]
+    assert [row["order"] for row in rows] == [0, 1, 2, 3]
+    assert [row["graded_dimension"] for row in rows] == [3, 4, 6, 8]
+    assert all(row["match"] for row in rows)
+
+
 def test_eseries_conventions(capsys):
     code, out, _ = run(capsys, "eseries", "--series-order", "3")
     assert code == 0

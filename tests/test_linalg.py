@@ -432,3 +432,53 @@ def test_int_elimination_equals_degree_zero_polynomial_elimination():
         want = linalg._row_eliminate([poly(c) for c in v], [poly(c) for c in b], col)
         assert [poly(c) for c in got] == want
         assert got[col] == 0
+
+
+def _kappa_gcd(row):
+    g = ()
+    for p in row:
+        if p:
+            g = P.pgcd(g, p) if g else P.pgcd(p, p)
+    return g
+
+
+def test_exact_elimination_gives_the_kappa_primitive_part():
+    """An exact elimination step is the plain fraction-free step p·v - f·b
+    over the gcd of its entries in Z[kappa]: a multiple of it by a
+    constant-sign factor, with entry gcd 1 and the column cleared."""
+    rng = random.Random(18)
+
+    def poly(deg):
+        return P.pnormalize([rng.randint(-9, 9) for _ in range(deg + 1)])
+
+    factors = ((1,), (-6,), (1, 1), (0, 2), (-3, 0, 1), (2, 5, 0, 7))
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        col = rng.randrange(n)
+        cv, cb = rng.choice(factors), rng.choice(factors)
+        v = [P.pmul(cv, poly(rng.randint(0, 2))) for _ in range(n)]
+        b = [P.pmul(cb, poly(rng.randint(0, 2))) for _ in range(n)]
+        v[col] = v[col] or P.pmul(cv, (1, -1))
+        b[col] = b[col] or cb
+        plain = [P.psub(P.pmul(b[col], x), P.pmul(v[col], y)) for x, y in zip(v, b)]
+        got = linalg._row_eliminate(v, b, col)
+        assert got[col] == ()
+        if not any(plain):
+            assert not any(got)
+            continue
+        assert _kappa_gcd(got) == (1,)
+        j = next(j for j, p in enumerate(plain) if p)
+        scale = P.pdivexact(plain[j], got[j])
+        assert scale[-1] > 0
+        assert all(P.pmul(scale, g) == p for g, p in zip(got, plain))
+
+
+def test_exact_span_rows_are_kappa_primitive():
+    # a row that enters unreduced loses its kappa-content too
+    basis = linalg.SpanBasis(F)
+    assert basis.add_row([(0, 2), (0, 0, 4), ()])
+    assert basis.rows == [(0, [(1,), (0, 2), ()])]
+    assert basis.add_row([(0, 3), (5,), (0, -3)])
+    assert not basis.add_row([(0, 0, 6), (0, 0, 0, 12), ()])
+    assert all(_kappa_gcd(row) == (1,) for _, row in basis.rows)
+    assert basis.dim == 2

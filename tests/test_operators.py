@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import (
+    FiltrationOracle,
     column,
     jack_matrix_oracle,
     mat_inv_oracle,
@@ -119,6 +120,42 @@ def test_spectrum_check_names_a_wrong_eigenvalue(field, l, wrong):
     assert bad.status == "fail"
     assert bad.detail == "wrong eigenvalue on (2, 1)"
     assert all(o.status == "pass" for o in outcomes.values())
+
+
+def test_sekiguchi_extends_its_moments_not_its_cached_operators(field):
+    # D_{0,l} asked for one index at a time extends the Lax moments kept
+    # per degree; an overwritten cached operator feeds no higher index
+    for F in (field, SpecializedField(Fraction(7, 3))):
+        ctx, ref = OpContext(F, 5), OpContext(F, 5)
+        for l in (1, 2):
+            ctx.sekiguchi(l)
+        ctx._sek[2] = ctx.sekiguchi(1).scale(F.from_int(3))
+        ref.sekiguchi(9)
+        for l in range(3, 10):
+            assert ctx.sekiguchi(l).blocks == ref.sekiguchi(l).blocks
+
+
+@pytest.mark.parametrize("kappa", [None, Fraction(7, 3)])
+def test_filtration_matches_the_all_candidates_oracle(field, kappa):
+    # each piece extends the one below it by the candidates with new
+    # factors only; it spans what all the candidates span, and the
+    # leading-term differences lie in the same pieces
+    F = field if kappa is None else SpecializedField(kappa)
+    ctx = OpContext(F, 6)
+    oracle = FiltrationOracle(ctx)
+    for r in (1, 2, 3):
+        for d in (0, 1, 2):
+            span = ctx.filtration_span(r, d)
+            basis, ops = oracle.span(r, d)
+            assert span.dim == basis.dim
+            assert all(span.contains(op) for op in ops)
+            if d:
+                coeff = F.from_int(r) ** (d - 1)
+                lead = ctx.dprime(r, d) - ctx.drd(r, d).scale(coeff)
+                below = oracle.span(r, d - 1)[0]
+                assert ctx.filtration_span(r, d - 1).contains(
+                    lead
+                ) == below.contains_row(lead.flatten())
 
 
 def test_sekiguchi_degree_two_eigenvalues(ctx6):

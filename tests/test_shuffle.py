@@ -110,10 +110,7 @@ def test_rank2_kernel_certificates(sc, ctx6):
     assert dims and "3" in dims[0].detail
 
 
-# at rank 3 the exact echelon over Z[kappa] runs over a minute (SpanBasis strips
-# integer content only, so kappa-degrees double with each pivot); the
-# oracle runs at kappa = 7/3 there
-@pytest.mark.parametrize("rank, field, dim", [(2, F, 3), (3, S, 5)])
+@pytest.mark.parametrize("rank, field, dim", [(2, F, 3), (3, S, 5), (3, F, 5)])
 def test_certified_relation_span_is_the_oracle_kernel(rank, field, dim):
     """The rank-2 box at K=4 and W_3 at rank 3: the kernel of the shuffle
     words from the oracle has the certified dimension, and each of its

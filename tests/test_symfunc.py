@@ -22,7 +22,7 @@ from wsh.linalg import _slot_width, _unpack
 from wsh.partitions import boxes, content_power_sum, dominates, partitions_of, z_factor
 from wsh.symfunc import (
     SymmetricFunctions,
-    _commuting_ints,
+    _LaxMoments,
     _lax_rows,
     _moment_bound,
     _unpack_row,
@@ -228,7 +228,8 @@ def test_moment_bound_covers_the_unpacked_values():
             coeffs = [abs(c) for row in block for x in row for c in x.num]
             assert max(coeffs, default=0) <= B
         for P, Q in ((7, 3), (-9973, 577)):
-            for mat in _commuting_ints(n, range(1, 10), P, Q):
+            lax = _LaxMoments(n, P, Q, 9)
+            for mat in map(lax.ints, range(1, 10)):
                 assert max(abs(x) for row in mat for x in row) <= B * (abs(P) + Q) ** 8
 
 
