@@ -7,14 +7,17 @@ the denominator has positive leading coefficient, so equality is structural.
 A "field context" object bundles the distinguished element kappa with
 element constructors.  Two contexts are provided: the exact field Q(kappa)
 and a specialization kappa -> rational, whose elements are plain Fractions.
-Scalars, free-algebra coefficients, series and the Jack basis compute with
-the context's elements.  Operators do not: a ``GradedOp`` holds integer
+Scalars, free-algebra coefficients, series, the Jack basis and the
+coefficients of every ``MultiPoly`` (multiplied termwise) are the
+context's elements.  Operators are not: a ``GradedOp`` holds integer
 kappa-polynomials (coefficient tuples), or ints when kappa is specialized,
 over an int denominator, and meets field elements only as scalars and
 when a block is decoded.  The conversions between field elements and that
 ring format are ``linalg.cleared`` and ``linalg.decoded``; the
-fraction-free kernels otherwise branch on ``field.mode`` only to pick a
-ring operation (Kronecker-packed Z[kappa] or plain ints).
+fraction-free kernels (the ``linalg`` matrix products and echelon, and
+the packed terms of ``shuffle.star_product``) otherwise branch on
+``field.mode`` only to pick a ring operation (Kronecker-packed Z[kappa]
+or plain ints).
 """
 
 from __future__ import annotations

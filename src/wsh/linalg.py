@@ -21,7 +21,12 @@ Three layers work on it:
   the pivot pair by its gcd and the new row by the gcd of its entries in
   Z[kappa], which keeps the kappa-degrees from doubling with each pivot.
   Rank, membership and the rank certificates at rational kappa points all
-  go through it; a certificate evaluates ring rows with integer Horner.
+  go through it; a certificate evaluates ring rows with integer Horner
+  and eliminates the int rows in the mode ``INTEGERS``.
+
+The Kronecker packing (``_pack``, ``_unpack``, ``_slot_width``) also
+serves ``shuffle.star_product``, which packs the cleared terms of its
+factors.
 """
 
 from __future__ import annotations
@@ -38,14 +43,9 @@ _ONE = (1,)
 
 
 class _Integers:
-    """The integers as the coefficient ring of int rows and images."""
+    """The mode of ``SpanBasis`` on the int rows of a rank certificate."""
 
     mode = "integer"
-    zero = 0
-    one = 1
-
-    def from_int(self, n):
-        return n
 
 
 INTEGERS = _Integers()
@@ -181,14 +181,6 @@ def _common_int_denominator(vec):
 # packed into one int by evaluating it at 2^w, so a product of polynomials
 # is one int product.  Slots are signed: unpacking is exact as long as
 # every coefficient of the packed value lies strictly inside ±2^(w-1).
-
-
-def _norm1(p):
-    return sum(map(abs, p))
-
-
-def _norm_inf(p):
-    return max(map(abs, p), default=0)
 
 
 def _slot_width(bound):

@@ -2,26 +2,14 @@
 
 Used for shuffle-algebra elements in z_1..z_n and for the commutative ring
 of central parameters and degree-zero generators that houses the E-series.
-Terms are stored as a dict {exponent tuple: nonzero coefficient}.
-
-The product is fraction-free, like ``linalg.mat_mul``: each operand is
-brought to one common denominator, and its integer image (the numerators,
-Z[kappa] packed into ints by Kronecker substitution, or plain ints when
-kappa is specialized) is a polynomial over INTEGERS.  Images are
-multiplied with int arithmetic only, and each result coefficient is
-reduced once, when the image is divided by the denominators again.
+Terms are stored as a dict {exponent tuple: nonzero coefficient}, the
+coefficients elements of a field context; the product is termwise.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import reduce
 from itertools import permutations
-from math import prod
-
-from . import _poly as P
-from .field import FieldElem
-from .linalg import INTEGERS, _norm1, _norm_inf, _pack, _slot_width, _unpack, cleared
+from operator import add
 
 
 class MultiPoly:
@@ -100,24 +88,15 @@ class MultiPoly:
                 self.nvars, {e: v * c for e, v in self.terms.items()}, self.field
             )
         self._check(other)
-        field = self.field
-        if field is INTEGERS:
-            return self._int_product(other)
-        if not self.terms or not other.terms:
-            return MultiPoly.zero(self.nvars, field)
-        da, a = cleared(self.terms.values(), field)
-        db, b = cleared(other.terms.values(), field)
-        w = None
-        if field.mode == "exact":
-            w = _slot_width(sum(map(_norm1, a)) * max(map(_norm_inf, b)))
-        image = self.integer_image(a, w)._int_product(other.integer_image(b, w))
-        return image.over((da, db), w, field)
-
-    def _int_product(self, other):
-        """Product of integer images (``packed_product``)."""
-        ew = _slot_width(self.total_degree() + other.total_degree())
-        terms = packed_product(self.packed(ew), other.packed(ew))
-        return MultiPoly.unpacked(self.nvars, terms, ew)
+        zero = self.field.zero
+        out = {}
+        get = out.get
+        bterms = list(other.terms.items())
+        for ea, x in self.terms.items():
+            for eb, y in bterms:
+                e = tuple(map(add, ea, eb))
+                out[e] = get(e, zero) + x * y
+        return MultiPoly(self.nvars, out, self.field)
 
     __rmul__ = __mul__
 
@@ -141,50 +120,8 @@ class MultiPoly:
             return self.nvars == other.nvars and self.terms == other.terms
         return self == MultiPoly.constant(self._scalar(other), self.nvars, self.field)
 
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
     def __bool__(self):
         return bool(self.terms)
-
-    # -- integer images ----------------------------------------------------
-
-    def integer_image(self, nums, w):
-        """The polynomial over INTEGERS with the coefficients nums (from
-        ``linalg.cleared`` of the terms), packed at 2^w; w is None when
-        kappa is specialized.
-
-        Packing is a ring map, so sums and products of images are images
-        of sums and products.  A value unpacks correctly when every
-        kappa-coefficient of it lies strictly inside ±2^(w-1)."""
-        if w is not None:
-            nums = [_pack(c, w) for c in nums]
-        return MultiPoly(
-            self.nvars, dict(zip(self.terms, nums)), INTEGERS, _clean=True
-        )
-
-    def over(self, dens, w, field):
-        """This integer image divided by the product of dens, as a
-        polynomial over field; each coefficient is reduced once."""
-        if w is None:
-            den = prod(dens)
-            terms = {e: Fraction(v, den) for e, v in self.terms.items()}
-        else:
-            den = reduce(P.pmul, dens)
-            terms = {e: FieldElem(_unpack(v, w), den) for e, v in self.terms.items()}
-        return MultiPoly(self.nvars, terms, field, _clean=True)
-
-    def packed(self, ew):
-        """The terms keyed by exponent vectors packed at 2^ew (``_pack``)."""
-        return {_pack(e, ew): c for e, c in self.terms.items()}
-
-    @staticmethod
-    def unpacked(nvars, terms, ew):
-        """The polynomial over INTEGERS with the packed terms
-        {packed exponent vector: int}; zero coefficients are dropped."""
-        mask, shifts = (1 << ew) - 1, range(0, nvars * ew, ew)
-        out = {tuple([k >> t & mask for t in shifts]): v for k, v in terms.items() if v}
-        return MultiPoly(nvars, out, INTEGERS, _clean=True)
 
     # -- structure ---------------------------------------------------------
 
@@ -272,10 +209,10 @@ class MultiPoly:
 
     # -- printing ----------------------------------------------------------
 
-    def to_str(self, names=None):
+    def to_str(self):
         if not self.terms:
             return "0"
-        names = names or ["z%d" % (i + 1) for i in range(self.nvars)]
+        names = ["z%d" % (i + 1) for i in range(self.nvars)]
         parts = []
         for e in sorted(self.terms, reverse=True):
             c = self.terms[e]
@@ -293,15 +230,3 @@ class MultiPoly:
     def __repr__(self):
         return "MultiPoly(%s)" % self.to_str()
 
-
-def packed_product(a, b):
-    """The product of two {packed exponent vector: int} polynomials
-    (``MultiPoly.packed``); a monomial product is one int addition."""
-    bterms = list(b.items())
-    acc = {}
-    get = acc.get
-    for ka, x in a.items():
-        for kb, y in bterms:
-            k = ka + kb
-            acc[k] = get(k, 0) + x * y
-    return acc

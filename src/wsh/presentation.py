@@ -295,7 +295,10 @@ class FreeElement:
             l = word[pos][1]
             k = word[pos + 1][1]
             if alg.K is not None and k + l - 1 > alg.K:
-                raise IndexOverflowError("index overflow; raise K")
+                raise IndexOverflowError(
+                    "index overflow; raise K: t0[%d] t1[%d] rewrites to t1[%d], "
+                    "past the bound K = %d (--kmax)" % (l, k, k + l - 1, alg.K)
+                )
             swapped = (
                 word[:pos] + (word[pos + 1], word[pos]) + word[pos + 2:]
             )

@@ -25,11 +25,15 @@ The relations checked here are the free-algebra relation elements of
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+from functools import reduce
 from math import prod
 
+from ._poly import pmul
 from .checks import CheckOutcome
-from .linalg import _norm1, _norm_inf, _slot_width, cleared, ring_row
-from .multipoly import MultiPoly, packed_product
+from .field import FieldElem
+from .linalg import _pack, _slot_width, _unpack, cleared, ring_row
+from .multipoly import MultiPoly
 from .operators import WindowError, skipped
 from .presentation import T1, FreeAlgebra, Realization, kernel_certificate, t1_word
 
@@ -161,11 +165,12 @@ def _difference(i, j, nvars, field):
 
 def star_product(P: ShuffleElem, Q: ShuffleElem, kernel: Kernel) -> ShuffleElem:
     """Shuffle product with the g = h/z twist, ∂_{w_{r,s}}(P·Q·H_{r,s})
-    (module docstring).  P, Q and H_{r,s} are cleared and packed once, the
-    coefficients at a slot width w and each exponent vector into one int;
-    (P·H)·Q (half the term pairs of (P·Q)·H) goes through the r·s steps of
-    the reduced word and is unpacked and reduced once.  The width holds
-    the product bound of G times prod_{t<rs}(D+1-t), D its total degree.
+    (module docstring).  P, Q and H_{r,s} are cleared and packed once
+    (``_packed_terms``), the coefficients at a slot width w and each
+    exponent vector into one int; (P·H)·Q (half the term pairs of
+    (P·Q)·H) goes through the r·s steps of the reduced word and is
+    unpacked and reduced once (``_unpacked_poly``).  The width holds the
+    product bound of G times prod_{t<rs}(D+1-t), D its total degree.
     """
     r, s = P.nvars, Q.nvars
     n = r + s
@@ -185,17 +190,58 @@ def star_product(P: ShuffleElem, Q: ShuffleElem, kernel: Kernel) -> ShuffleElem:
         # z_i^a z_{i+1}^b, a + b = u + v + 1, the other exponents fixed: at
         # most D + 1 - t of them.  The steps are Z-linear, so they commute
         # with packing and only the result needs B·prod_{t<rs}(D+1-t).
-        (_, p), (_, h), (_, q) = images
-        bound = sum(map(_norm1, p)) * sum(map(_norm1, q)) * max(map(_norm_inf, h))
+        p, h, q = ([abs(x) for num in nums for x in num] for _, nums in images)
+        bound = sum(p) * sum(q) * max(h)
         w = _slot_width(bound * prod(degree + 1 - t for t in range(r * s)))
     ew = _slot_width(degree)
-    pi, hi, qi = (f.integer_image(c, w) for f, (_, c) in zip(factors, images))
-    G = packed_product(packed_product(pi.packed(ew), hi.packed(ew)), qi.packed(ew))
+    pk, hk, qk = (_packed_terms(f, nums, w, ew) for f, (_, nums) in zip(factors, images))
+    G = _packed_product(_packed_product(pk, hk), qk)
     for b in range(r - 1, -1, -1):
         for i in range(b, b + s):
             G = _divided_difference(G, i, ew)
-    image = MultiPoly.unpacked(n, G, ew).over([d for d, _ in images], w, P.field)
-    return ShuffleElem(image)
+    return ShuffleElem(_unpacked_poly(G, n, [d for d, _ in images], w, ew, P.field))
+
+
+def _packed_terms(poly, nums, w, ew):
+    """{packed exponent vector: packed numerator} of poly, whose terms
+    have the cleared numerators nums (``linalg.cleared``): exponent
+    vectors packed at 2^ew and numerators at 2^w, left as ints when w is
+    None (kappa specialized).  Packing is a ring map, so sums and
+    products of packed terms are packed sums and products; a numerator
+    unpacks correctly when every kappa-coefficient of it lies strictly
+    inside ±2^(w-1)."""
+    if w is not None:
+        nums = [_pack(c, w) for c in nums]
+    return {_pack(e, ew): c for e, c in zip(poly.terms, nums)}
+
+
+def _packed_product(a, b):
+    """The product of two {packed exponent vector: int} term dicts; a
+    monomial product is one int addition."""
+    bterms = list(b.items())
+    acc = {}
+    get = acc.get
+    for ka, x in a.items():
+        for kb, y in bterms:
+            k = ka + kb
+            acc[k] = get(k, 0) + x * y
+    return acc
+
+
+def _unpacked_poly(terms, nvars, dens, w, ew, field):
+    """The MultiPoly over field of the packed terms (``_packed_terms``)
+    divided by the product of dens; each coefficient is reduced once and
+    zero ones are dropped."""
+    terms = [(k, v) for k, v in terms.items() if v]
+    if w is None:
+        den = prod(dens)
+        coeffs = [Fraction(v, den) for _, v in terms]
+    else:
+        den = reduce(pmul, dens)
+        coeffs = [FieldElem(_unpack(v, w), den) for _, v in terms]
+    mask, shifts = (1 << ew) - 1, range(0, nvars * ew, ew)
+    exps = [tuple([k >> t & mask for t in shifts]) for k, _ in terms]
+    return MultiPoly(nvars, dict(zip(exps, coeffs)), field, _clean=True)
 
 
 def _divided_difference(terms, i, ew):

@@ -290,24 +290,6 @@ class FieldOpContext:
         return FieldOp(0, blocks, self.field)
 
 
-def multipoly_mul_oracle(a, b):
-    """Termwise product: every multiply-add is a reduced field element.
-    The reference for the fraction-free ``MultiPoly.__mul__``."""
-    if a.nvars != b.nvars:
-        raise ValueError("variable count mismatch")
-    zero = a.field.zero
-    out = {}
-    for e1, c1 in a.terms.items():
-        for e2, c2 in b.terms.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            s = out.get(e, zero) + c1 * c2
-            if s == zero:
-                out.pop(e, None)
-            else:
-                out[e] = s
-    return MultiPoly(a.nvars, out, a.field, _clean=True)
-
-
 def _difference(i, j, n, field):
     return MultiPoly.variable(i, n, field) - MultiPoly.variable(j, n, field)
 
@@ -316,9 +298,7 @@ def star_product_oracle(P, Q, kernel):
     """Shuffle product with the g = h/z twist by clearing the full
     Vandermonde Δ_n: each shuffle term is multiplied by Δ_n/σ(W), W the
     cross differences, found by lead-term division, and the sum is divided
-    by Δ_n.  Products go through ``multipoly_mul_oracle``.  The reference
-    for ``shuffle.star_product``."""
-    mul = multipoly_mul_oracle
+    by Δ_n.  The reference for ``shuffle.star_product``."""
     field = P.field
     r, s = P.nvars, Q.nvars
     n = r + s
@@ -332,26 +312,26 @@ def star_product_oracle(P, Q, kernel):
         out, power = MultiPoly.zero(n, field), one
         for c in kernel.h_coeffs():
             out = out + power * c
-            power = mul(power, d)
+            power = power * d
         return out
 
-    base = mul(P.poly.extend(n), Q.poly.extend(n, offset=r))
+    base = P.poly.extend(n) * Q.poly.extend(n, offset=r)
     hcross, wcross = one, one
     for i in range(r):
         for j in range(r, n):
             d = _difference(i, j, n, field)
-            hcross = mul(hcross, h_of(d))
-            wcross = mul(wcross, d)
-    G = mul(hcross, base)
+            hcross = hcross * h_of(d)
+            wcross = wcross * d
+    G = hcross * base
     vand = one
     for a in range(n):
         for b in range(a + 1, n):
-            vand = mul(vand, _difference(a, b, n, field))
+            vand = vand * _difference(a, b, n, field)
     acc = MultiPoly.zero(n, field)
     for subset in combinations(range(n), r):
         comp = [x for x in range(n) if x not in subset]
         perm = list(subset) + comp  # original position i goes to perm[i]
-        acc = acc + mul(G.permute_vars(perm), vand.divexact(wcross.permute_vars(perm)))
+        acc = acc + G.permute_vars(perm) * vand.divexact(wcross.permute_vars(perm))
     return ShuffleElem(acc.divexact(vand))
 
 

@@ -265,3 +265,15 @@ def test_rank3_check_below_its_window_is_skipped(capsys):
         assert rank3["status"] == "skipped"
         assert rank3["detail"] == "truncation too small: empty validity window"
     assert checks["shuffle_rank2_kernel_dims(K=4)"]["status"] == "fail"
+
+
+@pytest.mark.parametrize("suite", ["presentation", "all"])
+def test_kmax_below_the_seeded_normal_order_words_is_a_usage_error(capsys, suite):
+    # the seeded words of the normal-order soundness check rewrite to an
+    # index past K = 3, which Config.validate accepts
+    code, out, err = run(capsys, "verify", suite, "--kmax", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: index overflow; raise K: ")
+    assert "past the bound K = 3 (--kmax)" in err
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -247,7 +247,7 @@ def test_pack_unpack_round_trip_at_slot_limits():
         a = [(bound, -bound), (-1, 0, 1)]
         b = [(1, -1), (-1,)]
         w = linalg._slot_width(
-            sum(map(linalg._norm1, a)) * max(map(linalg._norm_inf, b))
+            sum(abs(x) for p in a for x in p) * max(abs(x) for p in b for x in p)
         )
         want = P.padd(P.pmul(a[0], b[0]), P.pmul(a[1], b[1]))
         got = linalg._pack(a[0], w) * linalg._pack(b[0], w)

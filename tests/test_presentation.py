@@ -74,8 +74,11 @@ def test_t0_letters_commute_and_sort(A):
 
 def test_index_overflow_message(A):
     # rewriting t0_5 past t1_4 needs t1_8, beyond the K = 5 window
-    with pytest.raises(IndexOverflowError, match="index overflow; raise K"):
+    with pytest.raises(IndexOverflowError, match="index overflow; raise K") as exc:
         (A.t0(5) * A.t1(4) * A.t1(4)).normal_order()
+    assert str(exc.value).endswith(
+        ": t0[5] t1[4] rewrites to t1[8], past the bound K = 5 (--kmax)"
+    )
 
 
 def test_evaluation_sends_t1_0_to_p1(A, ctx6):

@@ -6,17 +6,12 @@ from itertools import combinations
 from math import prod
 
 import pytest
-from conftest import (
-    FieldSpan,
-    kernel_of_vectors,
-    multipoly_mul_oracle,
-    star_product_oracle,
-)
+from conftest import FieldSpan, kernel_of_vectors, star_product_oracle
 from test_multipoly import random_poly
 
 from wsh import linalg
 from wsh.field import RationalFunctionField, SpecializedField
-from wsh.linalg import _norm1, _norm_inf, _slot_width
+from wsh.linalg import _slot_width
 from wsh.multipoly import MultiPoly
 from wsh.operators import OpContext
 from wsh.presentation import FreeAlgebra, kernel_certificate, t1_word
@@ -25,6 +20,9 @@ from wsh.shuffle import (
     ShuffleContext,
     ShuffleElem,
     _divided_difference,
+    _packed_product,
+    _packed_terms,
+    _unpacked_poly,
     star_product,
 )
 
@@ -189,8 +187,7 @@ def test_star_product_matches_oracle(field):
 
 def test_cross_factor_is_the_cached_termwise_product():
     """H_{r,s} against the product of h(z_i - z_j) = (u+1-k)(u-1)(u+k) over
-    the cross pairs i < r <= j only, one linear factor at a time, with the
-    termwise product."""
+    the cross pairs i < r <= j only, one linear factor at a time."""
     ker = Kernel(F)
     k = F.kappa
     for r, s in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 1)):
@@ -201,7 +198,7 @@ def test_cross_factor_is_the_cached_termwise_product():
             for j in range(r, n):
                 d = z(i, n) - z(j, n)
                 for root in (k - 1, F.one, -k):
-                    want = multipoly_mul_oracle(want, d - one * root)
+                    want = want * (d - one * root)
         got = ker.cross_factor(r, s)
         assert got == want
         assert got.total_degree() == 3 * r * s
@@ -217,16 +214,57 @@ def divided_difference_oracle(f, i):
     return (f - f.permute_vars(perm)).divexact(d)
 
 
+def norm1(nums):
+    """The sum of the absolute kappa-coefficients of cleared numerators."""
+    return sum(abs(x) for num in nums for x in num)
+
+
+def norm_inf(nums):
+    """The largest absolute kappa-coefficient of cleared numerators."""
+    return max(abs(x) for num in nums for x in num)
+
+
 def packed_divided_difference(f, i):
     """∂_i f along star_product's path: the cleared numerators packed at a
     width that holds any signed sum of them, exponent vectors packed, one
     step, then unpacked and reduced."""
     field = f.field
     den, nums = linalg.cleared(f.terms.values(), field)
-    w = None if field.mode == "specialized" else _slot_width(sum(map(_norm1, nums)))
+    w = None if field.mode == "specialized" else _slot_width(norm1(nums))
     ew = _slot_width(max(f.total_degree(), 1))
-    out = _divided_difference(f.integer_image(nums, w).packed(ew), i, ew)
-    return MultiPoly.unpacked(f.nvars, out, ew).over([den], w, field)
+    out = _divided_difference(_packed_terms(f, nums, w, ew), i, ew)
+    return _unpacked_poly(out, f.nvars, [den], w, ew, field)
+
+
+@pytest.mark.parametrize("field", [F, S])
+def test_packed_terms_round_trip(field):
+    """Terms packed at the width of their largest numerator coefficient
+    (kappa specialized: left as ints) unpack to the polynomial."""
+    rng = random.Random(7)
+    p = random_poly(rng, 3, field, terms=6)
+    den, nums = linalg.cleared(p.terms.values(), field)
+    w = None if field is S else _slot_width(norm_inf(nums))
+    ew = _slot_width(p.total_degree())
+    packed = _packed_terms(p, nums, w, ew)
+    assert len(packed) == len(p.terms)
+    assert all(type(c) is int for c in packed.values())
+    assert _unpacked_poly(packed, 3, [den], w, ew, field) == p
+
+
+@pytest.mark.parametrize("field", [F, S])
+def test_packed_product_is_the_termwise_product(field):
+    """Seeded polynomials in 1-3 variables with ±2^70 and kappa-rational
+    coefficients, packed at the width (Σ‖a‖₁)·max‖b‖∞ of a sum of
+    products and multiplied as packed terms, unpack to their product."""
+    rng = random.Random(99)
+    for n in (1, 2, 3):
+        for _ in range(3):
+            a, b = (random_poly(rng, n, field, terms=5, degree=3) for _ in range(2))
+            (da, na), (db, nb) = (linalg.cleared(f.terms.values(), field) for f in (a, b))
+            w = None if field is S else _slot_width(norm1(na) * norm_inf(nb))
+            ew = _slot_width(a.total_degree() + b.total_degree())
+            got = _packed_product(_packed_terms(a, na, w, ew), _packed_terms(b, nb, w, ew))
+            assert _unpacked_poly(got, n, [da, db], w, ew, field) == a * b
 
 
 @pytest.mark.parametrize("field", [F, S])
@@ -343,7 +381,7 @@ def test_star_product_past_the_plain_product_bound(P, Q):
     and 3/10 of B."""
     ker = Kernel(F)
     r, s = len(next(iter(P))), len(next(iter(Q)))
-    hmax = max(_norm_inf(h.num) for h in ker.cross_factor(r, s).terms.values())
+    hmax = norm_inf(h.num for h in ker.cross_factor(r, s).terms.values())
     c = 2**40
     top = 1 << (c * c * hmax).bit_length()
     d = (top - 1) // (c * hmax)
