@@ -59,6 +59,37 @@ def test_jack_bytes_are_pinned(capsys, argv, sha256):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+@pytest.mark.parametrize(
+    "argv, sha256",
+    [
+        (
+            ("--series-order", "6"),
+            "18fa0cddb5128b772e53ae13b64cd7796720773041767257406e014eca69355d",
+        ),
+        (
+            ("--series-order", "6", "--preset", "omega"),
+            "32399a570534e554236c241d321165dcdbe6ea6149f16a4a1dfdcc79dfe16fdf",
+        ),
+        (
+            ("--series-order", "6", "--convention", "printed", "--preset", "fitted"),
+            "4d6307a763d517f67ed6b5466d243efaf8a1805b93fcfec2662e619bb206340d",
+        ),
+        (
+            ("--series-order", "8", "--specialize", "7/3", "--preset", "omega"),
+            "ec66ab66ffda7b655c5a1442c018e522fc0aecd4033d5e3a46a1818408c936c2",
+        ),
+        (
+            ("--series-order", "10", "--preset", "omega"),
+            "632fb39f12d9a9a0e33cbbc7780c7de36257bde732bcd926e9c0d6508fdb87fc",
+        ),
+    ],
+)
+def test_eseries_bytes_are_pinned(capsys, argv, sha256):
+    code, out, _ = run(capsys, "eseries", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 def test_dims(capsys):
     code, out, _ = run(capsys, "dims", "2", "2", "--max-degree", "6")
     assert code == 0
