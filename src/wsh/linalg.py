@@ -22,7 +22,7 @@ Three layers work on it:
   Z[kappa], which keeps the kappa-degrees from doubling with each pivot.
   Rank, membership and the rank certificates at rational kappa points all
   go through it; a certificate evaluates ring rows with integer Horner
-  and eliminates the int rows in the mode ``INTEGERS``.
+  and eliminates the int rows.
 
 The Kronecker packing (``_pack``, ``_unpack``, ``_slot_width``) also
 serves ``shuffle.star_product``, which packs the cleared terms of its
@@ -41,14 +41,6 @@ from .field import FieldElem
 
 _ONE = (1,)
 
-
-class _Integers:
-    """The mode of ``SpanBasis`` on the int rows of a rank certificate."""
-
-    mode = "integer"
-
-
-INTEGERS = _Integers()
 
 # ----------------------------------------------------------------------
 # dense matrices: rows of field elements, or of ints in the ring kernels
@@ -282,16 +274,15 @@ def _int_row_eliminate(v, b, col):
 
 
 class SpanBasis:
-    """Incremental row-echelon basis over the field, fraction-free: rows
-    are Z[kappa]-primitive integer kappa-polynomial rows in exact mode and
-    primitive int rows otherwise (kappa specialized, or ``INTEGERS``)."""
+    """Incremental row-echelon basis, fraction-free: rows are
+    Z[kappa]-primitive integer kappa-polynomial rows when ``exact`` and
+    primitive int rows otherwise (kappa specialized, or the int rows of a
+    rank certificate)."""
 
-    def __init__(self, field):
-        self.field = field
+    def __init__(self, exact):
+        self.exact = exact
         self.rows = []  # (pivot_col, row), sorted by pivot_col
-        self._eliminate = (
-            _row_eliminate if field.mode == "exact" else _int_row_eliminate
-        )
+        self._eliminate = _row_eliminate if exact else _int_row_eliminate
 
     @property
     def dim(self):
@@ -308,7 +299,7 @@ class SpanBasis:
         piv = next((j for j, p in enumerate(row) if p), None)
         if piv is None:
             return False
-        if self.field.mode == "exact":
+        if self.exact:
             row = _strip_kappa_content(row)
         self.rows.append((piv, row))
         self.rows.sort(key=lambda t: t[0])
@@ -345,7 +336,7 @@ def rank_lower_bound(rows, point=None) -> int:
     point = Fraction(CERTIFICATE_POINTS[0] if point is None else point)
     a, b = point.numerator, point.denominator
     bpow = [1]
-    basis = SpanBasis(INTEGERS)
+    basis = SpanBasis(False)
     for row in rows:
         basis.add_row(_row_at(row, a, b, bpow))
     return basis.dim

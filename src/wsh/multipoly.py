@@ -111,8 +111,9 @@ class MultiPoly:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __eq__(self, other):
@@ -151,19 +152,30 @@ class MultiPoly:
             out[ne] = c
         return MultiPoly(nvars, out, self.field, _clean=True)
 
-    def substitute_scalars(self, values):
-        """Substitute field elements for variables: values is {index: elem}.
-        The result keeps the same variable count."""
-        out = MultiPoly.zero(self.nvars, self.field)
+    def substitute(self, values):
+        """Substitute for variables at once: values is {index: value}, each
+        value a field element or a MultiPoly in the same variables.  The
+        result keeps the same variable count."""
+        one, zero = self.field.one, self.field.zero
+        # per exponent pattern of the substituted variables, the terms of the
+        # product of the values' powers: field elements multiply as scalars
+        factors = {}
+        out = {}
         for e, c in self.terms.items():
-            coeff = c
-            ne = list(e)
-            for i, v in values.items():
-                if e[i]:
-                    coeff = coeff * v ** e[i]
-                    ne[i] = 0
-            out = out + MultiPoly(self.nvars, {tuple(ne): coeff}, self.field)
-        return out
+            key = tuple(e[i] for i in values)
+            if key not in factors:
+                scalar, poly = one, MultiPoly.constant(one, self.nvars, self.field)
+                for v, k in zip(values.values(), key):
+                    if k and isinstance(v, MultiPoly):
+                        poly = poly * v**k
+                    elif k:
+                        scalar = scalar * v**k
+                factors[key] = [(fe, scalar * fc) for fe, fc in poly.terms.items()]
+            ne = [0 if i in values else k for i, k in enumerate(e)]
+            for fe, fc in factors[key]:
+                te = tuple(map(add, ne, fe))
+                out[te] = out.get(te, zero) + c * fc
+        return MultiPoly(self.nvars, out, self.field)
 
     def is_symmetric(self):
         """Each term moved by an adjacent transposition finds its image

@@ -329,19 +329,14 @@ class OpContext:
         """The commuting rank-0 operator D_{0,l}, diagonal on the Jack basis
         with eigenvalue sum-of-content-powers (exponent l-1), built from
         the moments of the Lax operator (``SymmetricFunctions.
-        commuting_ints``) with no Jack basis.  One call gives every
-        D_{0,m}, m <= l, not yet cached, extending the moments that
-        ``self.sym`` keeps, never the cached operators."""
+        commuting_ints``) with no Jack basis; ``self.sym`` keeps the
+        moments per degree, so a larger index extends them."""
         if l < 1:
             raise ValueError("index must be >= 1")
         if l not in self._sek:
-            # the cached indices are always 1..len(self._sek)
-            missing = range(len(self._sek) + 1, l + 1)
-            built = [self.sym.commuting_ints(n, missing) for n in range(self.N + 1)]
-            for i, m in enumerate(missing):
-                den = built[0][i][0]
-                blocks = {n: mats[i][1] for n, mats in enumerate(built)}
-                self._sek[m] = GradedOp(0, blocks, self.field, den)
+            built = [self.sym.commuting_ints(n, [l])[0] for n in range(self.N + 1)]
+            blocks = {n: mat for n, (_, mat) in enumerate(built)}
+            self._sek[l] = GradedOp(0, blocks, self.field, built[0][0])
         return self._sek[l]
 
     def d1(self, k) -> GradedOp:
@@ -509,7 +504,7 @@ class _Span:
     that raised its dimension (``new``)."""
 
     def __init__(self, field, candidates, below=None):
-        self.basis = linalg.SpanBasis(field)
+        self.basis = linalg.SpanBasis(field.mode == "exact")
         if below is not None:
             self.basis.rows = list(below.basis.rows)
         self.new = [op for op in candidates if self.basis.add_row(op.flatten())]

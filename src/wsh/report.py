@@ -287,7 +287,7 @@ def emit_eseries(cfg: Config, convention: str, preset: str = None):
         eser = type(eser)(
             convention,
             ring,
-            [p.substitute_scalars(values) for p in eser.coeffs],
+            [p.substitute(values) for p in eser.coeffs],
         )
     doc = {
         "schema": SCHEMA_VERSION,

@@ -15,7 +15,7 @@ degree-zero generator with index j.  With xi = kappa - 1 and
 the series is
 
     1 + xi sum E_l s^(l+1)
-        = exp( sum (-1)^(l+1) c_l phi_l(s) ) exp( sum d_{l+1} varphi_l(s) )
+        = exp( sum (-1)^(l+1) c_l phi_l(s) + sum d_{l+1} varphi_l(s) )
 
 with phi_l(s) = s^l G_l(1 + xi s) and
 
@@ -31,6 +31,7 @@ the Fock fit decides between them, nothing is hard-coded.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import comb
 
 from .checks import CheckOutcome
@@ -94,66 +95,48 @@ class CentralRing:
     def d(self, j) -> MultiPoly:
         return MultiPoly.variable(self.d_index(j), self.nvars, self.field)
 
+    @property
+    def w(self) -> MultiPoly:
+        return MultiPoly.variable(self.omega_index, self.nvars, self.field)
+
 
 # ----------------------------------------------------------------------
-# scalar series building blocks (coefficients are ring constants)
+# the kernel series (coefficients are ring constants)
 # ----------------------------------------------------------------------
 
 
-def _inv_power(a, l, order, ring) -> TruncSeries:
-    """(1 + a s)^(-l) for l >= 1."""
+def _g_series(l, conv, a, order, ring) -> TruncSeries:
+    """G_l(1 + a s), which has zero constant term: the coefficient of s^k
+    is (-a)^k / k at l = 0 and C(p+k-1, k) (-a)^k / l otherwise, with
+    p = l under the power convention and p = 1 under the printed one."""
     f = ring.field
-    coeffs = []
-    p = f.one
-    for k in range(order + 1):
-        coeffs.append(ring.const(f.from_int(comb(l + k - 1, k) if k else 1) * p))
-        p = p * (-a)
-    return TruncSeries(coeffs, order, ring.zero)
-
-
-def _log1p(a, order, ring) -> TruncSeries:
-    """log(1 + a s); zero constant term."""
-    f = ring.field
+    p = l if conv == G_POWER else 1
     coeffs = [ring.zero]
-    p = f.one
+    x = f.one
     for k in range(1, order + 1):
-        p = p * a
-        sign = f.one if k % 2 else -f.one
-        coeffs.append(ring.const(sign * p / f.from_int(k)))
+        x = x * -a
+        weight = Fraction(1, k) if l == 0 else Fraction(comb(p + k - 1, k), l)
+        coeffs.append(ring.const(x * f.from_fraction(weight)))
     return TruncSeries(coeffs, order, ring.zero)
-
-
-def _g_difference(q, l, conv, order, ring) -> TruncSeries:
-    """G_l(1 - qs) - G_l(1 + qs) as a series with zero constant term."""
-    f = ring.field
-    if l == 0:
-        return _log1p(q, order, ring) - _log1p(-q, order, ring)
-    power = l if conv == G_POWER else 1
-    diff = _inv_power(-q, power, order, ring) - _inv_power(q, power, order, ring)
-    return diff * ring.const(f.one / f.from_int(l))
-
-
-def varphi_series(l, conv, order, ring) -> TruncSeries:
-    """The series multiplying d_{l+1} in the exponent; q runs over the
-    roots of the cubic kernel of the realization."""
-    f = ring.field
-    total = TruncSeries.constant(ring.zero, order, ring.zero)
-    for q in (-f.one, f.kappa, f.one - f.kappa):
-        total = total + _g_difference(q, l, conv, order, ring)
-    return total.shift(l) if l else total
 
 
 def phi_series(l, conv, order, ring) -> TruncSeries:
-    """The series multiplying (-1)^(l+1) c_l in the exponent."""
+    """phi_l = s^l G_l(1 + xi s), the series multiplying (-1)^(l+1) c_l in
+    the exponent."""
     f = ring.field
-    xi = f.kappa - f.one
-    if l == 0:
-        return -_log1p(xi, order, ring)
-    power = l if conv == G_POWER else 1
-    inner = _inv_power(xi, power, order, ring) - TruncSeries.constant(
-        ring.one, order, ring.zero
-    )
-    return (inner * ring.const(f.one / f.from_int(l))).shift(l)
+    return _g_series(l, conv, f.kappa - f.one, order, ring).shift(l)
+
+
+def varphi_series(l, conv, order, ring) -> TruncSeries:
+    """varphi_l = s^l sum_q [G_l(1 - qs) - G_l(1 + qs)], the series
+    multiplying d_{l+1} in the exponent; q runs over the roots of the cubic
+    kernel of the realization."""
+    f = ring.field
+    total = TruncSeries.constant(ring.zero, order, ring.zero)
+    for q in (-f.one, f.kappa, f.one - f.kappa):
+        total = total + _g_series(l, conv, -q, order, ring)
+        total = total - _g_series(l, conv, q, order, ring)
+    return total.shift(l)
 
 
 class ESeries:
@@ -180,8 +163,8 @@ class ESeries:
 
 
 def central_series(field, M, conv) -> ESeries:
-    """Expand the defining product of exponentials to order M and extract
-    E_0..E_{M-1}."""
+    """Expand the exponential of the defining exponent to order M and
+    extract E_0..E_{M-1}."""
     if conv not in GCONVENTIONS:
         raise ValueError("unknown convention %r" % (conv,))
     xi = field.kappa - field.one
@@ -191,23 +174,14 @@ def central_series(field, M, conv) -> ESeries:
             "rerun with a new kappa value"
         )
     ring = CentralRing(field, M)
-    order = M
-    zero_series = TruncSeries.constant(ring.zero, order, ring.zero)
-
-    cexp = zero_series
+    exponent = TruncSeries.constant(ring.zero, M, ring.zero)
     for l in range(M):
         sign = field.one if l % 2 else -field.one  # (-1)^(l+1)
-        cexp = cexp + phi_series(l, conv, order, ring) * (ring.c(l) * sign)
-    dexp = zero_series
-    for l in range(M):
-        dexp = dexp + varphi_series(l, conv, order, ring) * ring.d(l + 1)
-    for s in (cexp, dexp):
-        if s.coeffs[0] != ring.zero:
-            raise ArithmeticError("exponent has a nonzero constant term")
-
-    total = series_exp(cexp, ring.one) * series_exp(dexp, ring.one)
-    if total.coeffs[0] != ring.one:
-        raise ArithmeticError("central series not normalized")
+        exponent = exponent + phi_series(l, conv, M, ring) * (ring.c(l) * sign)
+        exponent = exponent + varphi_series(l, conv, M, ring) * ring.d(l + 1)
+    if exponent.coeffs[0] != ring.zero:
+        raise ArithmeticError("exponent has a nonzero constant term")
+    total = series_exp(exponent, ring.one)
     coeffs = [total.coeffs[l + 1] / xi for l in range(M)]
     return ESeries(conv, ring, coeffs)
 
@@ -216,27 +190,10 @@ def omega_preset(eser: ESeries):
     """Substitute c_0 = 0, c_i = -(kappa w)^i into every E_l; the result
     must be polynomial in w with no central parameters left."""
     ring = eser.ring
-    f = ring.field
-    M = ring.M
-    out = []
-    for poly in eser.coeffs:
-        terms = {}
-        for e, coeff in poly.terms.items():
-            if e[ring.c_index(0)]:
-                continue  # c_0 = 0 kills the term
-            ne = list(e)
-            wexp = e[ring.omega_index]
-            for i in range(1, M + 1):
-                k = e[ring.c_index(i)]
-                if k:
-                    coeff = coeff * (-(f.kappa**i)) ** k
-                    wexp += i * k
-                    ne[ring.c_index(i)] = 0
-            ne[ring.omega_index] = wexp
-            ne = tuple(ne)
-            terms[ne] = terms.get(ne, f.zero) + coeff
-        out.append(MultiPoly(ring.nvars, terms, f))
-    return out
+    kw = ring.w * ring.field.kappa
+    values = {ring.c_index(i): -(kw**i) for i in range(1, ring.M + 1)}
+    values[ring.c_index(0)] = ring.field.zero
+    return [poly.substitute(values) for poly in eser.coeffs]
 
 
 # ----------------------------------------------------------------------
@@ -364,7 +321,7 @@ class ShcContext:
             values[ring.d_index(j)] = content_power_sum(lam, j, f)
         for i, v in fitted.items():
             values[ring.c_index(i)] = v
-        poly = eser.coeffs[h].substitute_scalars(values)
+        poly = eser.coeffs[h].substitute(values)
         const = f.zero
         linear = f.zero
         ci = ring.c_index(h)

@@ -155,7 +155,7 @@ class _LaxMoments:
 
     A_m = Q^m a_m, a_m the Lambda_n -> Lambda_n block of L^m; the a_m
     commute, a_1 = 0 and a_2 = kappa n.  The log-derivative z_m =
-    m a_m - sum_k z_k a_(m-k) gives, for l >= 2,
+    m a_m - sum_k z_k a_(m-k) gives, for l >= 1,
         -l(l+1) kappa D_{0,l} = (-1)^l z_(l+1)
             - sum_{j<l-1} C(l+1, j) [(kappa-1)^e - (-1)^e - kappa^e] D_{0,j+1},
     e = l + 1 - j, and everything is scaled by Q^(l+1) to stay in Z.
@@ -182,7 +182,7 @@ class _LaxMoments:
         self.X = [1 << (w * t) if t < d else 0 for t in range(len(self.rows))]
         self.A = [self.X[:d]]
         self.Z, self.Zu = [None], [None]
-        self.W = [None, [n << (w * t) for t in range(d)]]
+        self.W = [None]
 
     def ints(self, l: int):
         """Q^(l-1) D_{0,l} at degree n as an int matrix, 1 <= l <= top."""

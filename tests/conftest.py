@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -10,6 +10,8 @@ from wsh.multipoly import MultiPoly
 from wsh.operators import FREE_RELATIONS, OpContext, WindowError
 from wsh.partitions import add_part, boxes, content_power_sum, partitions_of
 from wsh.presentation import T0, T1, FreeAlgebra, Realization
+from wsh.series import TruncSeries, series_exp
+from wsh.shc import G_POWER, CentralRing
 from wsh.shuffle import ShuffleElem
 from wsh.symfunc import SymmetricFunctions
 
@@ -473,6 +475,10 @@ class FieldSpan(linalg.SpanBasis):
     """``linalg.SpanBasis`` fed with field-element vectors, each taken to
     its ring row (``linalg.ring_row``) on the way in."""
 
+    def __init__(self, field):
+        super().__init__(field.mode == "exact")
+        self.field = field
+
     def add(self, vec) -> bool:
         """Insert a vector; True when it enlarges the span."""
         return self.add_row(linalg.ring_row(vec, self.field))
@@ -539,7 +545,7 @@ class FiltrationOracle:
         raised its dimension, a basis of it."""
         ctx = self.ctx
         if d < 0:
-            return linalg.SpanBasis(ctx.field), []
+            return linalg.SpanBasis(ctx.field.mode == "exact"), []
         if (r, d) not in self._spans:
             if r == 1:
                 cands = [ctx.d1(k) for k in range(d + 1)]
@@ -553,10 +559,112 @@ class FiltrationOracle:
                 for l in range(d + 2):
                     for a in self.span(r - 1, d - l + 1)[1]:
                         cands.append(ctx.d1(l).commutator(a))
-            basis = linalg.SpanBasis(ctx.field)
+            basis = linalg.SpanBasis(ctx.field.mode == "exact")
             ops = [op for op in cands if basis.add_row(op.flatten())]
             self._spans[r, d] = basis, ops
         return self._spans[r, d]
+
+
+def _inv_power_oracle(a, l, order, ring):
+    """(1 + a s)^(-l) for l >= 1."""
+    f = ring.field
+    coeffs = []
+    p = f.one
+    for k in range(order + 1):
+        coeffs.append(ring.const(f.from_int(comb(l + k - 1, k) if k else 1) * p))
+        p = p * (-a)
+    return TruncSeries(coeffs, order, ring.zero)
+
+
+def _log1p_oracle(a, order, ring):
+    """log(1 + a s); zero constant term."""
+    f = ring.field
+    coeffs = [ring.zero]
+    p = f.one
+    for k in range(1, order + 1):
+        p = p * a
+        sign = f.one if k % 2 else -f.one
+        coeffs.append(ring.const(sign * p / f.from_int(k)))
+    return TruncSeries(coeffs, order, ring.zero)
+
+
+def _g_difference_oracle(q, l, conv, order, ring):
+    """G_l(1 - qs) - G_l(1 + qs) as a series with zero constant term."""
+    f = ring.field
+    if l == 0:
+        return _log1p_oracle(q, order, ring) - _log1p_oracle(-q, order, ring)
+    power = l if conv == G_POWER else 1
+    diff = _inv_power_oracle(-q, power, order, ring) - _inv_power_oracle(
+        q, power, order, ring
+    )
+    return diff * ring.const(f.one / f.from_int(l))
+
+
+def varphi_series_oracle(l, conv, order, ring):
+    """The series multiplying d_{l+1} in the exponent, one G_l difference
+    per root q of the cubic kernel: the reference for
+    ``shc.varphi_series``."""
+    f = ring.field
+    total = TruncSeries.constant(ring.zero, order, ring.zero)
+    for q in (-f.one, f.kappa, f.one - f.kappa):
+        total = total + _g_difference_oracle(q, l, conv, order, ring)
+    return total.shift(l) if l else total
+
+
+def phi_series_oracle(l, conv, order, ring):
+    """The series multiplying (-1)^(l+1) c_l in the exponent, from
+    -log(1 + xi s) at l = 0 and (1 + xi s)^(-p) otherwise: the reference
+    for ``shc.phi_series``."""
+    f = ring.field
+    xi = f.kappa - f.one
+    if l == 0:
+        return -_log1p_oracle(xi, order, ring)
+    power = l if conv == G_POWER else 1
+    inner = _inv_power_oracle(xi, power, order, ring) - TruncSeries.constant(
+        ring.one, order, ring.zero
+    )
+    return (inner * ring.const(f.one / f.from_int(l))).shift(l)
+
+
+def central_series_oracle(field, M, conv):
+    """E_0..E_{M-1} from exp(sum (-1)^(l+1) c_l phi_l) times
+    exp(sum d_{l+1} varphi_l), each factor expanded on its own from the
+    oracle series: the reference for ``shc.central_series``."""
+    ring = CentralRing(field, M)
+    cexp = dexp = TruncSeries.constant(ring.zero, M, ring.zero)
+    for l in range(M):
+        sign = field.one if l % 2 else -field.one
+        cexp = cexp + phi_series_oracle(l, conv, M, ring) * (ring.c(l) * sign)
+        dexp = dexp + varphi_series_oracle(l, conv, M, ring) * ring.d(l + 1)
+    total = series_exp(cexp, ring.one) * series_exp(dexp, ring.one)
+    xi = field.kappa - field.one
+    return [total.coeffs[l + 1] / xi for l in range(M)]
+
+
+def omega_preset_oracle(eser):
+    """c_0 = 0, c_i = -(kappa w)^i in every E_l, one exponent at a time:
+    the reference for ``shc.omega_preset``."""
+    ring = eser.ring
+    f = ring.field
+    out = []
+    for poly in eser.coeffs:
+        terms = {}
+        for e, coeff in poly.terms.items():
+            if e[ring.c_index(0)]:
+                continue  # c_0 = 0 kills the term
+            ne = list(e)
+            wexp = e[ring.omega_index]
+            for i in range(1, ring.M + 1):
+                k = e[ring.c_index(i)]
+                if k:
+                    coeff = coeff * (-(f.kappa**i)) ** k
+                    wexp += i * k
+                    ne[ring.c_index(i)] = 0
+            ne[ring.omega_index] = wexp
+            ne = tuple(ne)
+            terms[ne] = terms.get(ne, f.zero) + coeff
+        out.append(MultiPoly(ring.nvars, terms, f))
+    return out
 
 
 @pytest.fixture(scope="session")

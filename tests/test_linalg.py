@@ -475,7 +475,7 @@ def test_exact_elimination_gives_the_kappa_primitive_part():
 
 def test_exact_span_rows_are_kappa_primitive():
     # a row that enters unreduced loses its kappa-content too
-    basis = linalg.SpanBasis(F)
+    basis = linalg.SpanBasis(True)
     assert basis.add_row([(0, 2), (0, 0, 4), ()])
     assert basis.rows == [(0, [(1,), (0, 2), ()])]
     assert basis.add_row([(0, 3), (5,), (0, -3)])

@@ -128,8 +128,41 @@ def test_extend_and_substitute():
     p = (x + 1) ** 2
     q = p.extend(3, offset=1)
     assert q.nvars == 3 and degree_in(q, 1) == 2
-    evaluated = q.substitute_scalars({1: F.from_int(2)})
+    evaluated = q.substitute({1: F.from_int(2)})
     assert evaluated == MultiPoly.constant(F.from_int(9), 3, F)
+
+
+def evaluate(p, point):
+    """p at the point, a field element per variable."""
+    return sum(
+        (c * prod(x**k for x, k in zip(point, e)) for e, c in p.terms.items()),
+        p.field.zero,
+    )
+
+
+@pytest.mark.parametrize("field", [F, S])
+def test_substitute_polynomials_matches_evaluation(field):
+    # substituting polynomials (and field elements) for some variables at
+    # once, then evaluating, equals evaluating with those variables set to
+    # the values of the substituted polynomials; a value may hold the
+    # variable it replaces
+    rng = random.Random(20)
+    for _ in range(20):
+        p = random_poly(rng, 3, field, terms=5, degree=3)
+        values = {
+            0: random_poly(rng, 3, field, terms=3),
+            2: rng.choice([random_poly(rng, 3, field, terms=2), field.from_int(-2)]),
+        }
+        got = p.substitute(values)
+        assert got.nvars == 3
+        for _ in range(3):
+            point = [field.from_int(rng.randint(-4, 4)) for _ in range(3)]
+            moved = [
+                evaluate(values[i], point) if isinstance(values.get(i), MultiPoly)
+                else values.get(i, x)
+                for i, x in enumerate(point)
+            ]
+            assert evaluate(got, point) == evaluate(p, moved)
 
 
 def test_divexact_roundtrip():

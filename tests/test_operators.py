@@ -12,7 +12,7 @@ from conftest import (
     sekiguchi_conjugation_oracle,
 )
 
-from wsh import linalg
+from wsh import linalg, symfunc
 from wsh.checks import zero_check
 from wsh.field import FieldElem, SpecializedField
 from wsh.operators import GradedOp, OpContext, WindowError
@@ -77,8 +77,8 @@ def test_closed_form_sekiguchi_equals_jack_conjugation(field, kappa):
 
 def test_sekiguchi_builds_without_a_jack_basis(field, ctx6, monkeypatch):
     # no Jack basis enters the operator build: with the Jack build made to
-    # raise, every D_{0,l}, l <= 9, still builds; building l = 4..9 at once
-    # gives the blocks built one index at a time and keeps the cached ones
+    # raise, every D_{0,l}, l <= 9, still builds; building l = 9 after
+    # l = 1..3 keeps the cached ones and gives the blocks of a fresh context
     def no_jack(self, n):
         raise AssertionError("Jack basis built at degree %d" % n)
 
@@ -120,6 +120,32 @@ def test_spectrum_check_names_a_wrong_eigenvalue(field, l, wrong):
     assert bad.status == "fail"
     assert bad.detail == "wrong eigenvalue on (2, 1)"
     assert all(o.status == "pass" for o in outcomes.values())
+
+
+def test_sekiguchi_one_comes_from_the_lax_rows(field, monkeypatch):
+    # D_{0,1} = n·I follows from the moment a_2 = kappa n; doubling the
+    # lowering entries k m_k of the Lax operator doubles a_2 and so D_{0,1},
+    # and spectrum(1) fails
+    rows = symfunc._lax_rows
+
+    def doubled(n):
+        return tuple(
+            tuple((col, c0 if c1 else 2 * c0, c1) for col, c0, c1 in row)
+            for row in rows(n)
+        )
+
+    monkeypatch.setattr(symfunc, "_lax_rows", doubled)
+    monkeypatch.setattr(symfunc, "_moment_bound", symfunc._moment_bound.__wrapped__)
+    for F in (field, SpecializedField(Fraction(7, 3))):
+        ctx = OpContext(F, 4)
+        op = ctx.sekiguchi(1)
+        for n in range(ctx.N + 1):
+            d = len(partitions_of(n))
+            assert op.block(n) == [
+                [F.from_int(2 * n) if i == j else F.zero for j in range(d)]
+                for i in range(d)
+            ]
+        assert _spectrum_checks(ctx)[0]().status == "fail"
 
 
 def test_sekiguchi_extends_its_moments_not_its_cached_operators(field):

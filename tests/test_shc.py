@@ -1,11 +1,28 @@
 """Central series, negative half, and the central-character fit."""
 
-import pytest
-from conftest import jack_conjugate_oracle
+from fractions import Fraction
 
+import pytest
+from conftest import (
+    central_series_oracle,
+    jack_conjugate_oracle,
+    omega_preset_oracle,
+    phi_series_oracle,
+    varphi_series_oracle,
+)
+
+from wsh.field import SpecializedField
 from wsh.operators import GradedOp
 from wsh.partitions import partitions_of
-from wsh.shc import GCONVENTIONS, ShcContext, central_series, omega_preset
+from wsh.shc import (
+    GCONVENTIONS,
+    CentralRing,
+    ShcContext,
+    central_series,
+    omega_preset,
+    phi_series,
+    varphi_series,
+)
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +59,33 @@ def test_omega_preset_eliminates_central_parameters(field):
                 assert not any(
                     e[ring.c_index(i)] for i in range(ring.M + 1)
                 )
+
+
+@pytest.mark.parametrize("kappa", [None, Fraction(7, 3)])
+def test_kernel_series_match_the_oracles(field, kappa):
+    # phi_l and varphi_l from the one G_l builder against the separate
+    # log and inverse-power builders, l < 6, both conventions
+    F = field if kappa is None else SpecializedField(kappa)
+    ring = CentralRing(F, 8)
+    for conv in GCONVENTIONS:
+        for l in range(6):
+            assert phi_series(l, conv, 8, ring) == phi_series_oracle(l, conv, 8, ring)
+            assert varphi_series(l, conv, 8, ring) == varphi_series_oracle(
+                l, conv, 8, ring
+            )
+
+
+@pytest.mark.parametrize("kappa", [None, Fraction(7, 3)])
+def test_central_series_and_omega_preset_match_the_oracles(field, kappa):
+    # one exponential of the whole exponent against the product of the
+    # exponentials of its two halves, and the omega preset by substitution
+    # against the exponent loop, M <= 6
+    F = field if kappa is None else SpecializedField(kappa)
+    for M in range(1, 7):
+        for conv in GCONVENTIONS:
+            eser = central_series(F, M, conv)
+            assert eser.coeffs == central_series_oracle(F, M, conv)
+            assert omega_preset(eser) == omega_preset_oracle(eser)
 
 
 def test_negative_cross(shc6):
