@@ -204,6 +204,9 @@ def test_verify_all_byte_identical():
         assert proc.returncode == 0, proc.stderr.decode()
         runs.append(proc.stdout)
     assert runs[0] == runs[1]
+    assert hashlib.sha256(runs[0]).hexdigest() == (
+        "135670ee5c29ba90b1d0996e4021b2b7843917f96433080e29a13f637b644661"
+    )
     doc = json.loads(runs[0])
     assert doc["status"] == "pass"
     assert doc["config"] == {

@@ -90,6 +90,27 @@ def test_eseries_bytes_are_pinned(capsys, argv, sha256):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+# at kappa = p/q the word images of a kernel certificate carry different
+# int denominators (powers of q), which the image matrix must bring to one
+@pytest.mark.parametrize(
+    "argv, sha256",
+    [
+        (
+            ("presentation", "--specialize", "7/3"),
+            "dbd8938e0adf0c2445b7d0443a04f6c2ddc348c73d441fc88a29000ebe488f27",
+        ),
+        (
+            ("shuffle", "--max-degree", "6", "--specialize", "9/4"),
+            "d5733ef51bb8df33dab635c66a969437bda0b3decfdc31b502c64cf66aa9ebdd",
+        ),
+    ],
+)
+def test_verify_bytes_are_pinned(capsys, argv, sha256):
+    code, out, _ = run(capsys, "verify", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 def test_dims(capsys):
     code, out, _ = run(capsys, "dims", "2", "2", "--max-degree", "6")
     assert code == 0
