@@ -3,15 +3,15 @@
 Below the field there is one format: integer kappa-polynomials
 (coefficient tuples), or ints when kappa is specialized, over a
 denominator.  ``cleared`` and ``decoded`` convert field elements to it and
-back, and ``ring_row`` is a cleared vector without integer content.
-Three layers work on it:
+back.  Four layers work on it:
 
 * ring matrix products: the product of int matrices (``_int_mat_mul``)
   and, on matrices of integer kappa-polynomials, ``ring_mat_mul``, which
   packs the entries into ints by Kronecker substitution (``_pack``,
   ``_unpack``) and is the one place where an exact matrix product picks
-  its slot width (``_slot_width``).  ``operators.GradedOp.compose`` is one
-  of these products per block;
+  its slot width (``_slot_width``).  ``ring_product(field)`` picks one of
+  the two; ``operators.GradedOp.compose`` is one such product per block,
+  and the inclusion of a kernel certificate is one more;
 * field-element matrices: a fraction-free product (``mat_mul``), which
   clears denominators once per row and column, multiplies the
   numerators with a ring product and reduces each result entry once, for
@@ -20,9 +20,9 @@ Three layers work on it:
   Z[kappa]-primitive rows in exact mode: each elimination step divides
   the pivot pair by its gcd and the new row by the gcd of its entries in
   Z[kappa], which keeps the kappa-degrees from doubling with each pivot.
-  Rank, membership and the rank certificates at rational kappa points all
-  go through it; a certificate evaluates ring rows with integer Horner
-  and eliminates the int rows.
+  Rank and membership in the operator filtration go through it;
+* rank certificates (``rank_lower_bound``): ring rows taken modulo the
+  prime 2^61 - 1 at kappa = a/b and eliminated over that prime field.
 
 The Kronecker packing (``_pack``, ``_unpack``, ``_slot_width``) also
 serves ``shuffle.star_product``, which packs the cleared terms of its
@@ -52,19 +52,20 @@ def mat_mul(A, B, field):
 
     Each row of A and each column of B is brought to a common denominator
     once (``cleared``); the numerators are multiplied with
-    ``ring_mat_mul`` (``_int_mat_mul`` when kappa is specialized), and
-    each result entry is reduced once, from its numerator over
-    row_den[i]·col_den[j].
+    ``ring_product(field)``, and each result entry is reduced once, from
+    its numerator over row_den[i]·col_den[j].
     """
     if A and len(A[0]) != len(B):
         raise ValueError("dimension mismatch")
     if field.mode == "specialized":
-        product, elem, times = _int_mat_mul, Fraction, mul
+        elem, times = Fraction, mul
     else:
-        product, elem, times = ring_mat_mul, FieldElem, P.pmul
+        elem, times = FieldElem, P.pmul
     rows = [cleared(row, field) for row in A]
     cols = [cleared(col, field) for col in zip(*B)]
-    acc = product([nums for _, nums in rows], list(zip(*[nums for _, nums in cols])))
+    acc = ring_product(field)(
+        [nums for _, nums in rows], list(zip(*[nums for _, nums in cols]))
+    )
     zero = field.zero
     return [
         [
@@ -73,6 +74,13 @@ def mat_mul(A, B, field):
         ]
         for accrow, (rden, _) in zip(acc, rows)
     ]
+
+
+def ring_product(field):
+    """The product of ring matrices given by their rows in the field's
+    ring format: ``ring_mat_mul`` on integer kappa-polynomials, and
+    ``_int_mat_mul`` on ints when kappa is specialized."""
+    return _int_mat_mul if field.mode == "specialized" else ring_mat_mul
 
 
 def ring_mat_mul(A, B):
@@ -135,13 +143,6 @@ def decoded(block, den, field):
         return [[Fraction(x, den) if x else zero for x in row] for row in block]
     den = (den,)
     return [[FieldElem(x, den) if x else zero for x in row] for row in block]
-
-
-def ring_row(vec, field):
-    """A field-element vector as a primitive ring row: its cleared
-    numerators with their integer content stripped, a nonzero multiple of
-    the vector, for ``SpanBasis`` and the rank certificates."""
-    return primitive(cleared(vec, field)[1], field)
 
 
 def _common_denominator(vec):
@@ -209,14 +210,6 @@ def _unpack(n, w):
 # ----------------------------------------------------------------------
 
 
-def primitive(row, field):
-    """A ring row (ints when kappa is specialized, integer
-    kappa-polynomials otherwise) with its integer content stripped."""
-    if field.mode == "specialized":
-        return _strip_int_content(row)
-    return _strip_content(row)
-
-
 def _strip_content(row):
     g = 0
     for p in row:
@@ -274,15 +267,17 @@ def _int_row_eliminate(v, b, col):
 
 
 class SpanBasis:
-    """Incremental row-echelon basis, fraction-free: rows are
-    Z[kappa]-primitive integer kappa-polynomial rows when ``exact`` and
-    primitive int rows otherwise (kappa specialized, or the int rows of a
-    rank certificate)."""
+    """Incremental row-echelon basis, fraction-free: it takes ring rows,
+    integer kappa-polynomial rows when ``exact`` and int rows when kappa
+    is specialized, and keeps each as its Z[kappa]-primitive (or
+    primitive int) part."""
 
     def __init__(self, exact):
-        self.exact = exact
         self.rows = []  # (pivot_col, row), sorted by pivot_col
-        self._eliminate = _row_eliminate if exact else _int_row_eliminate
+        if exact:
+            self._eliminate, self._strip = _row_eliminate, _strip_kappa_content
+        else:
+            self._eliminate, self._strip = _int_row_eliminate, _strip_int_content
 
     @property
     def dim(self):
@@ -299,9 +294,7 @@ class SpanBasis:
         piv = next((j for j, p in enumerate(row) if p), None)
         if piv is None:
             return False
-        if self.exact:
-            row = _strip_kappa_content(row)
-        self.rows.append((piv, row))
+        self.rows.append((piv, self._strip(row)))
         self.rows.sort(key=lambda t: t[0])
         return True
 
@@ -310,7 +303,7 @@ class SpanBasis:
 
 
 # ----------------------------------------------------------------------
-# rational specialization certificates
+# rank certificates over F_p
 # ----------------------------------------------------------------------
 
 # Fixed evaluation points for rank certificates: a nonzero minor at any of
@@ -323,46 +316,42 @@ CERTIFICATE_POINTS = (
     Fraction(-7919, 1201),
 )
 
+# the Mersenne prime 2^61 - 1, the modulus of every rank certificate
+PRIME = (1 << 61) - 1
+
 
 def rank_lower_bound(rows, point=None) -> int:
-    """Rank certificate by rational specialization (exact lower bound).
-
-    ``rows`` are ring rows: integer kappa-polynomials (coefficient tuples,
-    as ``ring_row`` and ``GradedOp.flatten`` give) or ints, which are
-    constants.  Each row is evaluated at kappa = a/b with integer Horner,
-    every entry times the same positive power of b, which leaves the rank
-    unchanged; a row that vanishes at the point only lowers the bound.
-    """
+    """Rank of ring rows over F_p, p = ``PRIME``, at kappa = a/b: a lower
+    bound on their rank over Q(kappa).  The entries, integer
+    kappa-polynomials (coefficient tuples) or ints, go to F_p by the ring
+    map kappa -> a·b^-1 (mod p), so a nonzero minor mod p is one over
+    Q(kappa); the bound drops at a root of a minor or where p divides it
+    (the modular rank method; Dumas, Giorgi and Pernet, ISSAC 2004)."""
     point = Fraction(CERTIFICATE_POINTS[0] if point is None else point)
-    a, b = point.numerator, point.denominator
-    bpow = [1]
-    basis = SpanBasis(False)
+    k = point.numerator * pow(point.denominator, -1, PRIME) % PRIME
+    basis = []  # (pivot col, row from it on with a unit pivot)
     for row in rows:
-        basis.add_row(_row_at(row, a, b, bpow))
-    return basis.dim
+        row = [_mod_at(x, k) for x in row]
+        for piv, tail in basis:
+            f = row[piv] % PRIME
+            if f:
+                # reduced mod p once, after the last step
+                row[piv:] = [x - f * y for x, y in zip(row[piv:], tail)]
+        row = [x % PRIME for x in row]
+        piv = next((j for j, x in enumerate(row) if x), None)
+        if piv is not None:
+            inv = pow(row[piv], -1, PRIME)
+            basis.append((piv, [x * inv % PRIME for x in row[piv:]]))
+    return len(basis)
 
 
-def _row_at(row, a, b, bpow):
-    """A ring row at kappa = a/b as a primitive int row: p(a/b)·b^(t-1)
-    for each integer kappa-polynomial p, t the longest length in the row.
-    bpow caches the powers of b."""
-    t = max((len(x) for x in row if type(x) is tuple), default=0)
-    while len(bpow) < t:
-        bpow.append(bpow[-1] * b)
-    return _strip_int_content([
-        (_horner(x, a, b, bpow) * bpow[t - len(x)] if x else 0)
-        if type(x) is tuple else x
-        for x in row
-    ])
-
-
-def _horner(p, a, b, bpow):
-    """p(a/b)·b^deg(p) for a nonzero integer polynomial p."""
-    while len(bpow) < len(p):
-        bpow.append(bpow[-1] * b)
+def _mod_at(x, k):
+    """A ring entry (int or integer kappa-polynomial) at kappa = k in F_p."""
+    if type(x) is not tuple:
+        return x % PRIME
     acc = 0
-    for c, bk in zip(reversed(p), bpow):
-        acc = acc * a + c * bk
+    for c in reversed(x):
+        acc = (acc * k + c) % PRIME
     return acc
 
 

@@ -23,14 +23,13 @@ D_{r,d} are built directly.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 from operator import add, sub
 
 from . import _poly as P
 from . import linalg
 from .checks import CheckOutcome, zero_check
 from .field import FieldElem, format_poly
-from .linalg import _int_mat_mul, ring_mat_mul
 from .partitions import add_part, partitions_of
 from .presentation import T0, T1, FreeAlgebra, Realization
 from .symfunc import SymmetricFunctions
@@ -68,10 +67,10 @@ class GradedOp:
     ``scale`` refuse a kappa-polynomial denominator.
 
     ``compose`` is one ring matrix product per block (``linalg.
-    ring_mat_mul``, or ``linalg._int_mat_mul`` on ints); ``+``, ``-`` and
-    ``scale`` work entrywise on the numerators.  ``block(n)`` decodes one
-    block into field elements, for the Jack-basis products and the tests;
-    the operator algebra never does.
+    ring_product``); ``+``, ``-`` and ``scale`` work entrywise on the
+    numerators.  ``block(n)`` decodes one block into field elements, for
+    the Jack-basis products and the tests; the operator algebra never
+    does.
     """
 
     __slots__ = ("rank", "blocks", "field", "den")
@@ -180,7 +179,7 @@ class GradedOp:
         ]
         if not pairs:
             raise WindowError("truncation too small: empty validity window")
-        product = _int_mat_mul if self.field.mode == "specialized" else ring_mat_mul
+        product = linalg.ring_product(self.field)
         A, B = self.blocks, other.blocks
         blocks = {n: product(A[m], B[n]) for n, m in pairs}
         den = self.den * other.den
@@ -205,20 +204,21 @@ class GradedOp:
 
     def flatten(self):
         """Row-major concatenation of the block numerators, degree-major,
-        fixed partition order, with their integer content stripped: a
-        primitive ring row for ``SpanBasis.add_row`` and the rank
-        certificates.  It is the flattened operator times a nonzero
-        element of the field, which changes no rank."""
+        fixed partition order: a ring row, ``den`` times the flattened
+        operator, for ``SpanBasis.add_row`` and the rank certificates."""
         out = []
         for n in sorted(self.blocks):
             for row in self.blocks[n]:
                 out.extend(row)
-        return linalg.primitive(out, self.field)
+        return out
 
     @staticmethod
     def coordinates(ops):
-        """The flattened operators (Realization.coordinates)."""
-        return [op.flatten() for op in ops]
+        """The flattened operators over the least common multiple of
+        their denominators (Realization.coordinates)."""
+        den = lcm(*(op.den for op in ops))
+        times = _times_int if ops[0].field.mode == "specialized" else _times_poly
+        return [times([op.flatten()], den // op.den)[0] for op in ops]
 
 
 def _int_den(den):

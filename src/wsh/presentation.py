@@ -330,7 +330,9 @@ class Realization:
     keeping it would only raise peak memory.
 
     ``coordinates`` maps a list of images to their coordinates over one
-    basis as ring rows (``linalg.ring_row``); kernel_certificate reads it.
+    basis, as the ring numerators (``linalg.cleared``) of the images over
+    one common denominator: a ring matrix that is a nonzero multiple of
+    the images, which kernel_certificate reads.
     """
 
     def __init__(self, letters, product, unit, anti=False, coordinates=None):
@@ -472,35 +474,37 @@ class PresentationContext:
 
 def kernel_certificate(elements, words, realize):
     """Completeness of relation elements supported on ``words`` in one
-    realization (a Realization with ``coordinates``).  Returns
-    (included, span, kernel):
+    realization (a Realization with ``coordinates``), read from two ring
+    matrices: V, the coefficients of the elements over ``words`` (each row
+    cleared), and M, the images of ``words`` over one common denominator.
+    Returns (included, span, kernel):
 
-    * included: every element realizes to exactly zero;
-    * span: a lower bound on the dimension of the span of the elements,
-      the certified rank of their coefficient vectors over ``words``;
-    * kernel: an upper bound on the dimension of the kernel of the
-      realization on the span of ``words``, len(words) minus the
-      certified rank of the images.  With the inclusion that rank is at
-      most len(words) - span, and the certificate search stops there.
+    * included: V·M = 0, one ring product: every element realizes to zero;
+    * span: the certified rank of V, a lower bound on the dimension of the
+      span of the elements;
+    * kernel: len(words) minus the certified rank of M, an upper bound on
+      the dimension of the kernel of the realization on the span of
+      ``words``.  With the inclusion that rank is at most len(words) -
+      span, and the certificate search stops there.
 
-    Ranks are certified at rational kappa points (linalg.
-    certified_rank_bound): rank can only drop under specialization.  So
-    with the inclusion, span == kernel proves that the elements span the
-    kernel: they present the image on these words.
+    Ranks are certified over F_p at rational kappa points (linalg.
+    certified_rank_bound): Z[kappa] -> F_p is a ring map, so rank can only
+    drop.  With the inclusion, span == kernel proves that the elements
+    span the kernel: they present the image on these words.
     """
     index = {w: i for i, w in enumerate(words)}
-    vecs = []
+    V = []
     for el in elements:
         field = el.algebra.field
         vec = [field.zero] * len(words)
         for w, c in el.terms.items():
             vec[index[w]] = c
-        vecs.append(linalg.ring_row(vec, field))
-    included = all(realize(el).is_zero() for el in elements)
-    span = linalg.certified_rank_bound(vecs, min(len(vecs), len(words)))
-    images = realize.coordinates([realize.word(w) for w in words])
+        V.append(linalg.cleared(vec, field)[1])
+    M = realize.coordinates([realize.word(w) for w in words])
+    included = not V or not any(map(any, linalg.ring_product(field)(V, M)))
+    span = linalg.certified_rank_bound(V, min(len(V), len(words)))
     cap = len(words) - span if included else None
-    return included, span, len(words) - linalg.certified_rank_bound(images, cap)
+    return included, span, len(words) - linalg.certified_rank_bound(M, cap)
 
 
 def random_elements(alg, trials, seed):

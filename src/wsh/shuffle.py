@@ -32,7 +32,7 @@ from math import prod
 from ._poly import pmul
 from .checks import CheckOutcome
 from .field import FieldElem
-from .linalg import _pack, _slot_width, _unpack, cleared, ring_row
+from .linalg import _pack, _slot_width, _unpack, cleared
 from .multipoly import MultiPoly
 from .operators import WindowError, skipped
 from .presentation import T1, FreeAlgebra, Realization, kernel_certificate, t1_word
@@ -135,13 +135,15 @@ class ShuffleElem:
     @staticmethod
     def coordinates(elems):
         """Coefficient vectors of the elements over the sorted union of
-        their monomials, as ring rows (Realization.coordinates)."""
+        their monomials, cleared to one common denominator
+        (Realization.coordinates)."""
         basis = sorted(set().union(*(e.poly.terms for e in elems)))
         field = elems[0].field
-        return [
-            ring_row([e.poly.terms.get(m, field.zero) for m in basis], field)
-            for e in elems
-        ]
+        _, nums = cleared(
+            [e.poly.terms.get(m, field.zero) for e in elems for m in basis], field
+        )
+        n = len(basis)
+        return [nums[i * n : (i + 1) * n] for i in range(len(elems))]
 
     def __eq__(self, other):
         return isinstance(other, ShuffleElem) and self.poly == other.poly

@@ -437,8 +437,8 @@ def laplace_beltrami_oracle(field, n):
 
 def evaluate_vectors_oracle(vectors, point):
     """Every entry at kappa = point as a Fraction, by Fraction Horner
-    (``FieldElem.evaluate``).  The reference for the integer Horner of
-    ``linalg.rank_lower_bound``."""
+    (``FieldElem.evaluate``).  With ``fraction_rank_oracle``, the
+    reference for the rank over F_p of ``linalg.rank_lower_bound``."""
     return [
         [x.evaluate(point) if isinstance(x, FieldElem) else Fraction(x) for x in v]
         for v in vectors
@@ -464,7 +464,8 @@ def fraction_rank_oracle(rows) -> int:
         for i in range(r + 1, len(rows)):
             f = rows[i][col]
             if f:
-                rows[i] = [a - f / pval * b for a, b in zip(rows[i], prow)]
+                m = f / pval
+                rows[i] = [a - m * b for a, b in zip(rows[i], prow)]
         rank += 1
         r += 1
         col += 1
@@ -473,7 +474,7 @@ def fraction_rank_oracle(rows) -> int:
 
 class FieldSpan(linalg.SpanBasis):
     """``linalg.SpanBasis`` fed with field-element vectors, each taken to
-    its ring row (``linalg.ring_row``) on the way in."""
+    its cleared numerators (``linalg.cleared``) on the way in."""
 
     def __init__(self, field):
         super().__init__(field.mode == "exact")
@@ -481,10 +482,10 @@ class FieldSpan(linalg.SpanBasis):
 
     def add(self, vec) -> bool:
         """Insert a vector; True when it enlarges the span."""
-        return self.add_row(linalg.ring_row(vec, self.field))
+        return self.add_row(linalg.cleared(vec, self.field)[1])
 
     def contains(self, vec) -> bool:
-        return self.contains_row(linalg.ring_row(vec, self.field))
+        return self.contains_row(linalg.cleared(vec, self.field)[1])
 
 
 def rank_of_vectors(vectors, field) -> int:
@@ -514,7 +515,7 @@ def kernel_of_vectors(vectors, field):
     kernel = []
     scales = []  # cleared row = scale * original vector, per vector
     for i, v in enumerate(vectors):
-        row = linalg.ring_row(v, field)
+        row = linalg.cleared(v, field)[1]
         j = next((j for j, p in enumerate(row) if p), None)
         scales.append(field.one if j is None else to_field(row[j]) / v[j])
         tail = [zero] * k

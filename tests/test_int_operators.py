@@ -141,8 +141,8 @@ def test_fock_operators_equal_the_oracle(pair):
 
 
 def test_flattened_operators_certify_the_oracle_rank(pair):
-    # the primitive ring rows of GradedOp.flatten, and the ring rows of
-    # the decoded blocks, give the ranks of the Fraction oracle
+    # the image matrix of GradedOp.coordinates, and the cleared decoded
+    # blocks, give the ranks of the Fraction oracle
     ctx, _ = pair
     words = [((T1, a), (T1, b)) for a in range(4) for b in range(4)]
     images = [ctx.realize.word(w) for w in words]
@@ -154,7 +154,7 @@ def test_flattened_operators_certify_the_oracle_rank(pair):
     for pt in linalg.CERTIFICATE_POINTS:
         want = fraction_rank_oracle(evaluate_vectors_oracle(vecs, pt))
         assert linalg.rank_lower_bound(rows, pt) == want
-        vec_rows = [linalg.ring_row(v, ctx.field) for v in vecs]
+        vec_rows = [linalg.cleared(v, ctx.field)[1] for v in vecs]
         assert linalg.rank_lower_bound(vec_rows, pt) == want
         assert 0 < want < len(words)
 

@@ -34,7 +34,15 @@ def fe(n, d=1):
 
 
 def ring_rows(vecs, field=F):
-    return [linalg.ring_row(v, field) for v in vecs]
+    return [linalg.cleared(v, field)[1] for v in vecs]
+
+
+def kept_row(vec, field):
+    """The row a SpanBasis keeps for a vector it takes first."""
+    basis = FieldSpan(field)
+    assert basis.add(vec)
+    ((_, row),) = basis.rows
+    return row
 
 
 def test_mat_inv_roundtrip():
@@ -120,9 +128,24 @@ def test_certificate_at_kappa_zero_evaluates_at_zero():
     assert linalg.rank_lower_bound(rows) == 2
 
 
+def test_rank_over_the_prime_field_only_drops():
+    # an entry that is a multiple of p vanishes mod p: the bound drops
+    # below the rank over Q(kappa), and it never rises above it
+    p = linalg.PRIME
+    assert linalg.rank_lower_bound([[p]]) == 0
+    assert linalg.rank_lower_bound([[p, 1]]) == 1
+    assert linalg.rank_lower_bound([[p, 1], [0, 1]]) == 1
+    assert linalg.rank_lower_bound([[(p,)], [(0, 2 * p)]]) == 0
+    with pytest.raises(ValueError):
+        linalg.rank_lower_bound([[1]], Fraction(1, p))  # no map to F_p
+
+
 def test_clear_denominators_strips_content():
-    row = linalg.ring_row([fe(2, 3), fe(4, 3)], F)
-    assert row == [(1,), (2,)]
+    # cleared gives the numerators over the lcm of the denominators; the
+    # echelon keeps the row without its content
+    vec = [fe(2, 3), fe(4, 3)]
+    assert linalg.cleared(vec, F) == ((3,), [(2,), (4,)])
+    assert kept_row(vec, F) == [(1,), (2,)]
 
 
 def _random_exact(rng, rows, cols):
@@ -398,16 +421,21 @@ def test_specialized_clear_denominators_returns_primitive_ints():
         [],
     ]
     for vec in cases:
-        row = linalg.ring_row(vec, S)
-        assert all(type(c) is int for c in row)
-        assert not any(row) or gcd(*row) == 1
-        # the row is a positive multiple of the vector
-        j = next((j for j, c in enumerate(row) if c), None)
-        if j is not None:
-            scale = row[j] / vec[j]
-            assert scale > 0 and [scale * x for x in vec] == row
-    assert linalg.ring_row(cases[0], S) == [1, 2]
-    assert linalg.ring_row(cases[1], S) == [-4, 0, 3]
+        den, nums = linalg.cleared(vec, S)
+        assert type(den) is int and den > 0
+        assert all(type(c) is int for c in nums)
+        assert [Fraction(c, den) for c in nums] == vec
+        if not any(vec):
+            assert not FieldSpan(S).add(vec)
+            continue
+        row = kept_row(vec, S)
+        assert all(type(c) is int for c in row) and gcd(*row) == 1
+        # the kept row is a positive multiple of the vector
+        j = next(j for j, c in enumerate(row) if c)
+        scale = row[j] / vec[j]
+        assert scale > 0 and [scale * x for x in vec] == row
+    assert kept_row(cases[0], S) == [1, 2]
+    assert kept_row(cases[1], S) == [-4, 0, 3]
 
 
 def test_int_elimination_equals_degree_zero_polynomial_elimination():

@@ -1,19 +1,25 @@
 """Abstract generators and relations: rewriting and the realizations."""
 
-import pytest
-from conftest import column
+from fractions import Fraction
 
+import pytest
+from conftest import column, evaluate_vectors_oracle, fraction_rank_oracle
+
+from wsh import linalg
+from wsh.field import FieldElem, RationalFunctionField, SpecializedField
 from wsh.operators import GradedOp, OpContext
 from wsh.presentation import (
     T0,
     T1,
     FreeAlgebra,
+    FreeElement,
     IndexOverflowError,
     Realization,
     commutator,
     kernel_certificate,
     random_elements,
 )
+from wsh.shuffle import ShuffleContext, ShuffleElem
 
 
 @pytest.fixture(scope="module")
@@ -130,11 +136,107 @@ def test_rank3_relations_lie_on_their_words(ctx6):
         assert el.terms and set(el.terms) <= set(words)
 
 
-def test_kernel_certificate_rejects_a_non_relation(ctx6):
+@pytest.fixture(scope="module")
+def realizations(ctx6):
+    """(field, the operator realization at N = 6, the shuffle
+    realization), exact and at kappa = 7/3."""
+    ctxs = (ctx6, OpContext(SpecializedField(Fraction(7, 3)), 6))
+    return [(c.field, c.realize, ShuffleContext(c.field).realize) for c in ctxs]
+
+
+def test_kernel_certificate_rejects_a_non_relation(ctx6, realizations):
     words, rels = ctx6.free.rank2_relations(4)
     assert kernel_certificate(rels, words, ctx6.realize) == (True, 3, 3)
     word = ctx6.free.t1(0) * ctx6.free.t1(1)
     assert kernel_certificate(rels + [word], words, ctx6.realize) == (False, 4, 3)
+    # one coefficient of a true relation doubled, in both realizations,
+    # exact and at kappa = 7/3
+    for field, *realize in realizations:
+        words, rels = FreeAlgebra(field, L=5, K=5).rank2_relations(4)
+        terms = dict(rels[0].terms)
+        w = next(iter(terms))
+        terms[w] = terms[w] * 2
+        bad = FreeElement(rels[0].algebra, terms)
+        for rho in realize:
+            included, span, kernel = kernel_certificate(rels, words, rho)
+            assert included and span == kernel == 3
+            assert not kernel_certificate(rels[1:] + [bad], words, rho)[0]
+
+
+def _field_rows(images):
+    """The coordinates of operators or shuffle elements as field-element
+    vectors: the decoded flattened operators, or the coefficients over
+    the sorted union of the monomials."""
+    if isinstance(images[0], GradedOp):
+        return [
+            [x for n in sorted(op.blocks) for row in op.block(n) for x in row]
+            for op in images
+        ]
+    basis = sorted(set().union(*(e.poly.terms for e in images)))
+    zero = images[0].field.zero
+    return [[e.poly.terms.get(m, zero) for m in basis] for e in images]
+
+
+def _ring_as_field(x, field):
+    if field.mode == "specialized":
+        return Fraction(x)
+    return FieldElem(x) if x else field.zero
+
+
+def test_coordinates_are_the_images_over_one_denominator(realizations):
+    # each row of the image matrix is the image times one common
+    # denominator; mixed denominators: int and kappa-polynomial scalars on
+    # word images that carry their own (powers of q at kappa = p/q)
+    for field, *realize in realizations:
+        k = field.kappa
+        scalars = [field.one, field.from_fraction(Fraction(1, 2)), k / 3, k * k - 5]
+        words = [((T1, a), (T1, b)) for a in range(3) for b in range(3)]
+        for rho in realize:
+            images = [rho.word(w) for w in words]
+            images += [images[i].scale(c) for i, c in enumerate(scalars)]
+            if isinstance(images[0], ShuffleElem) and field.mode == "exact":
+                # operators refuse a kappa-polynomial denominator
+                images.append(images[0].scale(field.one / (k + 1)))
+            rows = rho.coordinates(images)
+            vecs = _field_rows(images)
+            i, j = next(
+                (i, j) for i, v in enumerate(vecs) for j, x in enumerate(v) if x
+            )
+            den = _ring_as_field(rows[i][j], field) / vecs[i][j]
+            for row, vec in zip(rows, vecs):
+                assert [_ring_as_field(x, field) for x in row] == [den * x for x in vec]
+
+
+def test_certificate_ranks_match_the_fraction_oracle(realizations):
+    # V and M of the rank-2 (K = 4, 5) and rank-3 (d <= 4) certificates,
+    # in both realizations, exact and at kappa = 7/3
+    for field, *realize in realizations:
+        alg = FreeAlgebra(field, L=None, K=None)
+        pairs = [alg.rank2_relations(K) for K in (4, 5)]
+        pairs += [alg.rank3_relations(d) for d in range(5)]
+        _check_certificate_ranks(field, realize, pairs)
+
+
+def _check_certificate_ranks(field, realize, pairs):
+    for words, rels in pairs:
+        index = {w: i for i, w in enumerate(words)}
+        vecs = []
+        for el in rels:
+            vec = [field.zero] * len(words)
+            for w, c in el.terms.items():
+                vec[index[w]] = c
+            vecs.append(vec)
+        V = [linalg.cleared(v, field)[1] for v in vecs]
+        for rho in realize:
+            images = [rho.word(w) for w in words]
+            M = rho.coordinates(images)
+            for rows, fvecs in ((V, vecs), (M, _field_rows(images))):
+                want = None
+                for pt in linalg.CERTIFICATE_POINTS:
+                    # at kappa = 7/3 the rows are constants: one oracle rank
+                    if want is None or field.mode == "exact":
+                        want = fraction_rank_oracle(evaluate_vectors_oracle(fvecs, pt))
+                    assert linalg.rank_lower_bound(rows, pt) == want
 
 
 def test_cached_evaluation_matches_oracle_on_random_words(A, ctx5):
