@@ -6,7 +6,7 @@ import pytest
 from conftest import column, evaluate_vectors_oracle, fraction_rank_oracle
 
 from wsh import linalg
-from wsh.field import FieldElem, RationalFunctionField, SpecializedField
+from wsh.field import FieldElem, SpecializedField
 from wsh.operators import GradedOp, OpContext
 from wsh.presentation import (
     T0,
