@@ -354,17 +354,3 @@ def _mod_at(x, k):
         acc = (acc * k + c) % PRIME
     return acc
 
-
-def certified_rank_bound(rows, cap=None) -> int:
-    """Best rank lower bound of ring rows over all certificate points.
-
-    ``cap`` is an upper bound on the rank that the caller has already
-    proved; no point can certify more, so the search stops at the first
-    point that reaches it.
-    """
-    best = 0
-    for pt in CERTIFICATE_POINTS:
-        best = max(best, rank_lower_bound(rows, pt))
-        if cap is not None and best >= cap:
-            break
-    return best

@@ -472,25 +472,31 @@ class PresentationContext:
         return out
 
 
-def kernel_certificate(elements, words, realize):
-    """Completeness of relation elements supported on ``words`` in one
-    realization (a Realization with ``coordinates``), read from two ring
-    matrices: V, the coefficients of the elements over ``words`` (each row
-    cleared), and M, the images of ``words`` over one common denominator.
-    Returns (included, span, kernel):
+def kernel_certificate(elements, words, *realizations):
+    """Completeness of relation elements supported on ``words`` in every
+    given realization (each a Realization with ``coordinates``), read from
+    ring matrices: V, the coefficients of the elements over ``words``
+    (each row cleared), and for each realization M, the images of
+    ``words`` over one common denominator.  Returns (included, span,
+    kernel, ...), one kernel per realization:
 
-    * included: V·M = 0, one ring product: every element realizes to zero;
-    * span: the certified rank of V, a lower bound on the dimension of the
+    * included: V·M = 0 for every M, one ring product each: every element
+      realizes to zero everywhere;
+    * span: a certified rank of V, a lower bound on the dimension of the
       span of the elements;
-    * kernel: len(words) minus the certified rank of M, an upper bound on
-      the dimension of the kernel of the realization on the span of
-      ``words``.  With the inclusion that rank is at most len(words) -
-      span, and the certificate search stops there.
+    * kernel: len(words) minus a certified rank of M, an upper bound on
+      the dimension of the kernel of that realization on the span of
+      ``words``.
 
-    Ranks are certified over F_p at rational kappa points (linalg.
-    certified_rank_bound): Z[kappa] -> F_p is a ring map, so rank can only
-    drop.  With the inclusion, span == kernel proves that the elements
-    span the kernel: they present the image on these words.
+    Ranks are certified over F_p at the rational kappa points
+    linalg.CERTIFICATE_POINTS (linalg.rank_lower_bound): Z[kappa] -> F_p
+    is a ring map, so rank can only drop.  Each point ranks V and every M
+    once; span is the largest rank of V so far and each kernel the least
+    bound so far.  With the inclusion, span <= the true span <= the true
+    kernel <= kernel, so once every kernel equals span all of them are
+    exact, no later point can move them, and the search stops there.
+    Then span == kernel proves that the elements span the kernel: they
+    present the image on these words.
     """
     index = {w: i for i, w in enumerate(words)}
     V = []
@@ -500,11 +506,20 @@ def kernel_certificate(elements, words, realize):
         for w, c in el.terms.items():
             vec[index[w]] = c
         V.append(linalg.cleared(vec, field)[1])
-    M = realize.coordinates([realize.word(w) for w in words])
-    included = not V or not any(map(any, linalg.ring_product(field)(V, M)))
-    span = linalg.certified_rank_bound(V, min(len(V), len(words)))
-    cap = len(words) - span if included else None
-    return included, span, len(words) - linalg.certified_rank_bound(M, cap)
+    Ms = [rho.coordinates([rho.word(w) for w in words]) for rho in realizations]
+    included = not V or not any(
+        any(map(any, linalg.ring_product(field)(V, M))) for M in Ms
+    )
+    span, kernels = 0, [len(words)] * len(Ms)
+    for pt in linalg.CERTIFICATE_POINTS:
+        span = max(span, linalg.rank_lower_bound(V, pt))
+        kernels = [
+            min(k, len(words) - linalg.rank_lower_bound(M, pt))
+            for k, M in zip(kernels, Ms)
+        ]
+        if included and all(k == span for k in kernels):
+            break
+    return (included, span, *kernels)
 
 
 def random_elements(alg, trials, seed):

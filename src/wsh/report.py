@@ -1,9 +1,9 @@
 """Suite assembly and report serialization.
 
-A suite is a named list of check thunks built from a Config; running it
-yields CheckOutcome records which are sorted by id and serialized either
-as JSON (fully deterministic: no timing, stable key order) or as text
-(human-oriented, includes wall time).
+A suite is a function of a Config and an OpContext that runs its checks in
+order and returns their CheckOutcome records; the records of a run are
+sorted by id and serialized either as JSON (fully deterministic: no
+timing, stable key order) or as text (human-oriented, includes wall time).
 """
 
 from __future__ import annotations
@@ -112,97 +112,79 @@ class Report:
 
 
 # ----------------------------------------------------------------------
-# suite builders: each returns a list of zero-argument thunks producing
-# CheckOutcome or list of CheckOutcome
+# suites: each runs its checks in order and returns their CheckOutcomes
 # ----------------------------------------------------------------------
 
 
-def _spectrum_checks(opctx):
-    """The degree-zero generators act diagonally on the canonical basis
-    with the content-power-sum eigenvalues (OpContext.jack_eigenvalues);
-    a failure names the first partition, by degree and then in
-    partitions_of order, whose Jack function is not an eigenvector with
-    its eigenvalue."""
-
-    def run(l):
-        field = opctx.field
-        op = opctx.sekiguchi(l)
-        for n in range(opctx.N + 1):
-            eigs = opctx.jack_eigenvalues(op, n)
-            for eig, lam in zip(eigs, partitions_of(n)):
-                if eig is None or eig != content_power_sum(lam, l, field):
-                    return CheckOutcome(
-                        "spectrum(%d)" % l,
-                        (0, opctx.N),
-                        "fail",
-                        detail="wrong eigenvalue on %r" % (lam,),
-                    )
-        return CheckOutcome("spectrum(%d)" % l, (0, opctx.N), "pass")
-
-    return [lambda l=l: run(l) for l in range(1, 5)]
+def _spectrum_check(opctx, l):
+    """The degree-zero generator of index l acts diagonally on the
+    canonical basis with the content-power-sum eigenvalues
+    (OpContext.jack_eigenvalues); a failure names the first partition, by
+    degree and then in partitions_of order, whose Jack function is not an
+    eigenvector with its eigenvalue."""
+    field = opctx.field
+    op = opctx.sekiguchi(l)
+    for n in range(opctx.N + 1):
+        eigs = opctx.jack_eigenvalues(op, n)
+        for eig, lam in zip(eigs, partitions_of(n)):
+            if eig is None or eig != content_power_sum(lam, l, field):
+                return CheckOutcome(
+                    "spectrum(%d)" % l,
+                    (0, opctx.N),
+                    "fail",
+                    detail="wrong eigenvalue on %r" % (lam,),
+                )
+    return CheckOutcome("spectrum(%d)" % l, (0, opctx.N), "pass")
 
 
 def positive_suite(cfg: Config, opctx: OpContext):
     K, L = cfg.kmax, cfg.lmax
-    thunks = []
-    for l in range(1, L + 1):
-        for k in range(l + 1, L + 1):
-            thunks.append(lambda l=l, k=k: opctx.check_relation("def1", l, k))
-    for l in range(1, L + 1):
-        for k in range(0, K):
-            thunks.append(lambda l=l, k=k: opctx.check_relation("def2", l, k))
-    thunks.append(lambda: opctx.check_relation("def3"))
-    thunks.append(lambda: opctx.check_relation("def4"))
-    for k in range(3):
-        for l in range(3):
-            thunks.append(lambda k=k, l=l: opctx.check_relation("rank2", k, l))
-    for l in range(2, L + 1):
-        thunks.append(lambda l=l: opctx.check_relation("recursion", l))
-    for k in range(1, L):
-        for l in range(1, L + 1 - k):
-            thunks.append(
-                lambda k=k, l=l: opctx.check_relation("kl_identity", k, l)
-            )
-    thunks.extend(_spectrum_checks(opctx))
+    rel = opctx.check_relation
+    out = [rel("def1", l, k) for l in range(1, L + 1) for k in range(l + 1, L + 1)]
+    out += [rel("def2", l, k) for l in range(1, L + 1) for k in range(0, K)]
+    out += [rel("def3"), rel("def4")]
+    out += [rel("rank2", k, l) for k in range(3) for l in range(3)]
+    out += [rel("recursion", l) for l in range(2, L + 1)]
+    out += [rel("kl_identity", k, l) for k in range(1, L) for l in range(1, L + 1 - k)]
+    out += [_spectrum_check(opctx, l) for l in range(1, 5)]
     for r in range(1, 4):
         for d in range(0, 3):
-            thunks.append(lambda r=r, d=d: opctx.leading_term_check(r, d))
-            thunks.append(lambda r=r, d=d: opctx.graded_dimension_check(r, d))
-    return thunks
+            out += [opctx.leading_term_check(r, d), opctx.graded_dimension_check(r, d)]
+    return out
 
 
 def presentation_suite(cfg: Config, opctx: OpContext):
     ctx = PresentationContext(opctx, L=cfg.lmax, K=cfg.kmax)
     return [
-        ctx.normal_order_example_check,
-        ctx.normal_order_soundness_check,
-        ctx.relation_zero_checks,
-        ctx.rank2_kernel_match,
+        ctx.normal_order_example_check(),
+        ctx.normal_order_soundness_check(),
+        *ctx.relation_zero_checks(),
+        *ctx.rank2_kernel_match(),
     ]
 
 
 def shuffle_suite(cfg: Config, opctx: OpContext):
     ctx = ShuffleContext(opctx.field)
     return [
-        ctx.kernel_expansion_check,
-        ctx.square_of_unit_degree_check,
-        ctx.quadratic_relation_check,
-        ctx.associativity_check,
-        lambda: ctx.rank2_kernel_compare(4, opctx),
-        lambda: ctx.exchange_samples_check(opctx),
-        lambda: ctx.rank3_kernel_compare(min(6, cfg.N - 2), opctx),
+        ctx.kernel_expansion_check(),
+        ctx.square_of_unit_degree_check(),
+        ctx.quadratic_relation_check(),
+        ctx.associativity_check(),
+        *ctx.rank2_kernel_compare(4, opctx),
+        ctx.exchange_samples_check(opctx),
+        *ctx.rank3_kernel_compare(min(6, cfg.N - 2), opctx),
     ]
 
 
 def fock_suite(cfg: Config, opctx: OpContext):
     ctx = ShcContext(opctx)
     return [
-        lambda: ctx.negative_cross_checks(cfg.lmax, cfg.kmax),
-        lambda: ctx.split_independence_checks(4),
-        ctx.negative_relation_checks,
-        lambda: ctx.fit_arbitration_check(4),
-        ctx.e0_symbolic_check,
-        ctx.preset_check,
+        *ctx.negative_cross_checks(cfg.lmax, cfg.kmax),
+        *ctx.split_independence_checks(4),
+        *ctx.negative_relation_checks(),
+        *ctx.fit_arbitration_check(4),
+        ctx.e0_symbolic_check(),
+        ctx.preset_check(),
     ]
 
 
@@ -218,18 +200,10 @@ def run_suite(name: str, cfg: Config) -> Report:
         "fock": fock_suite,
     }
     names = SUITES[:-1] if name == "all" else (name,)
-    thunks = []
-    for n in names:
-        thunks.extend(builders[n](cfg, opctx))
-
     started = time.monotonic()
     checks = []
-    for t in thunks:
-        r = t()
-        if isinstance(r, CheckOutcome):
-            checks.append(r)
-        else:
-            checks.extend(r)
+    for n in names:
+        checks += builders[n](cfg, opctx)
     return Report(name, cfg, checks, wall_time=time.monotonic() - started)
 
 

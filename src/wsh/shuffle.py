@@ -376,14 +376,6 @@ class ShuffleContext:
 
     # -- kernel comparisons with the operator realization -------------------
 
-    def _certificates(self, words, relations, opctx):
-        """kernel_certificate of the relations on the words in the shuffle
-        algebra and on the operators of opctx: (included in both, relation
-        span, shuffle kernel bound, operator kernel bound)."""
-        s_in, span, skernel = kernel_certificate(relations, words, self.realize)
-        o_in, _, okernel = kernel_certificate(relations, words, opctx.realize)
-        return s_in and o_in, span, skernel, okernel
-
     def rank2_kernel_compare(self, K, opctx) -> list:
         """Kernel of the rank-2 shuffle multiplication map versus the kernel
         of the corresponding operator map, plus the divisibility witness.
@@ -396,7 +388,9 @@ class ShuffleContext:
         """
         f = self.field
         words, rels = self.free.rank2_relations(K)
-        included, span, skernel, okernel = self._certificates(words, rels, opctx)
+        included, span, skernel, okernel = kernel_certificate(
+            rels, words, self.realize, opctx.realize
+        )
         out = [
             CheckOutcome(
                 "shuffle_rank2_kernel_inclusion(K=%d)" % K,
@@ -448,7 +442,9 @@ class ShuffleContext:
         ]
         words, rels = self.free.rank3_relations(d)
         try:
-            included, span, skernel, okernel = self._certificates(words, rels, opctx)
+            included, span, skernel, okernel = kernel_certificate(
+                rels, words, self.realize, opctx.realize
+            )
         except WindowError as e:
             return [skipped(cid, e) for cid in ids]
         return [

@@ -205,12 +205,10 @@ def test_every_operator_denominator_is_an_int(monkeypatch, kappa):
     ops += [ctx.dprime(r, d) for r in range(1, 4) for d in range(4)]
     lowering = [ctx.lowering(k) for k in range(9)]
     cfg = Config(N=8, specialize=kappa)
-    thunks = [run for suite in (positive_suite, presentation_suite, fock_suite)
-              for run in suite(cfg, ctx)]
-    for run in thunks:
-        run()
+    records = [r for suite in (positive_suite, presentation_suite, fock_suite)
+               for r in suite(cfg, ctx)]
     monkeypatch.undo()
-    assert len(thunks) == 82 + 4 + 6
+    assert len(records) == 165
     assert all(type(op.den) is int for op in ops + lowering)
     assert len(dens) > 1000 and {type(d) for d in dens} == {int}
     if kappa is None:

@@ -163,6 +163,54 @@ def test_kernel_certificate_rejects_a_non_relation(ctx6, realizations):
             assert not kernel_certificate(rels[1:] + [bad], words, rho)[0]
 
 
+def _counting_ranks(monkeypatch):
+    """Record (rank, point) of every linalg.rank_lower_bound call."""
+    calls = []
+    rank = linalg.rank_lower_bound
+
+    def counting(rows, point=None):
+        r = rank(rows, point)
+        calls.append((r, point))
+        return r
+
+    monkeypatch.setattr(linalg, "rank_lower_bound", counting)
+    return calls
+
+
+def test_certificate_stops_at_the_first_point_where_the_bounds_meet(
+    ctx8, monkeypatch
+):
+    # the rank-3 pair at the reference window: V and both image matrices
+    # ranked once, at the first point
+    sc = ShuffleContext(ctx8.field)
+    calls = _counting_ranks(monkeypatch)
+    outcomes = sc.rank3_kernel_compare(6, ctx8)
+    assert [o.status for o in outcomes] == ["pass", "pass"]
+    assert [pt for _, pt in calls] == [linalg.CERTIFICATE_POINTS[0]] * 3
+
+
+def test_certificate_goes_on_past_a_point_where_the_span_drops(ctx6, monkeypatch):
+    # a relation scaled by kappa - a vanishes at the first point kappa = a,
+    # where V has rank 2; the second point certifies the span 3
+    F = ctx6.field
+    words, rels = ctx6.free.rank2_relations(4)
+    rels[0] = rels[0].scale(F.kappa - F.from_fraction(linalg.CERTIFICATE_POINTS[0]))
+    calls = _counting_ranks(monkeypatch)
+    got = kernel_certificate(rels, words, ctx6.realize, ShuffleContext(F).realize)
+    assert got == (True, 3, 3, 3)
+    assert calls[0] == (2, linalg.CERTIFICATE_POINTS[0])
+    assert [pt for _, pt in calls] == [
+        pt for pt in linalg.CERTIFICATE_POINTS[:2] for _ in range(3)
+    ]
+
+
+def test_certificate_of_no_elements_is_included(ctx6, realizations):
+    words, _ = ctx6.free.rank2_relations(4)
+    assert kernel_certificate([], words, ctx6.realize) == (True, 0, 3)
+    for _, *realize in realizations:
+        assert kernel_certificate([], words, *realize) == (True, 0, 3, 3)
+
+
 def _field_rows(images):
     """The coordinates of operators or shuffle elements as field-element
     vectors: the decoded flattened operators, or the coefficients over
