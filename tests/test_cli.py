@@ -94,40 +94,44 @@ def test_eseries_bytes_are_pinned(capsys, argv, sha256):
 # int denominators (powers of q), which the image matrix must bring to one;
 # in the small windows that exit 1 the relation span and a kernel bound
 # never meet, so the certificate runs at every point
+PINNED_VERIFY = [
+    (
+        ("presentation", "--specialize", "7/3"),
+        0,
+        "dbd8938e0adf0c2445b7d0443a04f6c2ddc348c73d441fc88a29000ebe488f27",
+    ),
+    (
+        ("shuffle", "--max-degree", "6", "--specialize", "9/4"),
+        0,
+        "d5733ef51bb8df33dab635c66a969437bda0b3decfdc31b502c64cf66aa9ebdd",
+    ),
+    (
+        ("presentation", "--max-degree", "4"),
+        1,
+        "6d282b404cb80e1f89469060f23281bbd697a5c4469b88a0211262de41d13cf3",
+    ),
+    (
+        ("shuffle", "--max-degree", "4"),
+        1,
+        "e9b5c27482f0e9d5bb04a2d9c6add2255761d9ecfd912c0b0cfa7fb4548d8ddb",
+    ),
+    (
+        ("shuffle", "--max-degree", "3", "--specialize", "7/3"),
+        1,
+        "879926f6969074d74c2fbd9640bf39987e4fcda6449c80d73cf7c897c4252bed",
+    ),
+    (
+        ("presentation", "--max-degree", "5", "--specialize", "7/3"),
+        1,
+        "132640e4278d8a896ddffb103b6e8bd24b0323c3f008f1475f6dcebb755a06bf",
+    ),
+]
+
+
 @pytest.mark.parametrize(
     "argv, exit_code, sha256",
-    [
-        (
-            ("presentation", "--specialize", "7/3"),
-            0,
-            "dbd8938e0adf0c2445b7d0443a04f6c2ddc348c73d441fc88a29000ebe488f27",
-        ),
-        (
-            ("shuffle", "--max-degree", "6", "--specialize", "9/4"),
-            0,
-            "d5733ef51bb8df33dab635c66a969437bda0b3decfdc31b502c64cf66aa9ebdd",
-        ),
-        (
-            ("presentation", "--max-degree", "4"),
-            1,
-            "6d282b404cb80e1f89469060f23281bbd697a5c4469b88a0211262de41d13cf3",
-        ),
-        (
-            ("shuffle", "--max-degree", "4"),
-            1,
-            "e9b5c27482f0e9d5bb04a2d9c6add2255761d9ecfd912c0b0cfa7fb4548d8ddb",
-        ),
-        (
-            ("shuffle", "--max-degree", "3", "--specialize", "7/3"),
-            1,
-            "879926f6969074d74c2fbd9640bf39987e4fcda6449c80d73cf7c897c4252bed",
-        ),
-        (
-            ("presentation", "--max-degree", "5", "--specialize", "7/3"),
-            1,
-            "132640e4278d8a896ddffb103b6e8bd24b0323c3f008f1475f6dcebb755a06bf",
-        ),
-    ],
+    PINNED_VERIFY,
+    ids=["argv%d-%s" % (i, pin[2]) for i, pin in enumerate(PINNED_VERIFY)],
 )
 def test_verify_bytes_are_pinned(capsys, argv, exit_code, sha256):
     code, out, _ = run(capsys, "verify", *argv)
