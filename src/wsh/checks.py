@@ -6,16 +6,13 @@ is always a pass-on-window claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass
 class CheckOutcome:
-    id: str
-    window: tuple
-    status: str  # pass | fail | skipped
-    detail: str = ""
-    failing_block: int = None
+    __slots__ = ("id", "window", "status", "detail", "failing_block")
+
+    def __init__(self, id, window, status, detail="", failing_block=None):
+        self.id, self.window, self.status = id, window, status  # pass | fail | skipped
+        self.detail, self.failing_block = detail, failing_block
 
     def as_dict(self):
         d = {"id": self.id, "window": list(self.window), "status": self.status}

@@ -129,9 +129,6 @@ class MultiPoly:
     def total_degree(self):
         return max((sum(e) for e in self.terms), default=-1)
 
-    def coefficient(self, exps):
-        return self.terms.get(tuple(exps), self.field.zero)
-
     def permute_vars(self, perm):
         """Apply variable substitution z_i -> z_perm[i]."""
         out = {}
@@ -141,16 +138,6 @@ class MultiPoly:
                 ne[p] += e[i]
             out[tuple(ne)] = c
         return MultiPoly(self.nvars, out, self.field, _clean=True)
-
-    def extend(self, nvars, offset=0):
-        """View in a larger variable set, with variables shifted by offset."""
-        if nvars < self.nvars + offset:
-            raise ValueError("extend target too small")
-        out = {}
-        for e, c in self.terms.items():
-            ne = (0,) * offset + e + (0,) * (nvars - self.nvars - offset)
-            out[ne] = c
-        return MultiPoly(nvars, out, self.field, _clean=True)
 
     def substitute(self, values):
         """Substitute for variables at once: values is {index: value}, each

@@ -490,18 +490,20 @@ def kernel_certificate(elements, words, *realizations):
 
     Ranks are certified over F_p at the rational kappa points
     linalg.CERTIFICATE_POINTS (linalg.rank_lower_bound): Z[kappa] -> F_p
-    is a ring map, so rank can only drop.  Each point ranks V and every M
-    once; span is the largest rank of V so far and each kernel the least
-    bound so far.  With the inclusion, span <= the true span <= the true
-    kernel <= kernel, so once every kernel equals span all of them are
-    exact, no later point can move them, and the search stops there.
+    is a ring map, so rank can only drop.  At kappa = p/q the entries are
+    ints, which no point changes, and the first point is the only one.
+    Each point ranks V and every M once; span is the largest rank of V so
+    far and each kernel the least bound so far.  With the inclusion,
+    span <= the true span <= the true kernel <= kernel, so once every
+    kernel equals span all of them are exact, no later point can move
+    them, and the search stops there.
     Then span == kernel proves that the elements span the kernel: they
     present the image on these words.
     """
+    field = realizations[0].word(()).field
     index = {w: i for i, w in enumerate(words)}
     V = []
     for el in elements:
-        field = el.algebra.field
         vec = [field.zero] * len(words)
         for w, c in el.terms.items():
             vec[index[w]] = c
@@ -511,7 +513,7 @@ def kernel_certificate(elements, words, *realizations):
         any(map(any, linalg.ring_product(field)(V, M))) for M in Ms
     )
     span, kernels = 0, [len(words)] * len(Ms)
-    for pt in linalg.CERTIFICATE_POINTS:
+    for pt in linalg.CERTIFICATE_POINTS[: 1 if field.mode == "specialized" else None]:
         span = max(span, linalg.rank_lower_bound(V, pt))
         kernels = [
             min(k, len(words) - linalg.rank_lower_bound(M, pt))

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 from .field import RationalFunctionField, SpecializedField
 from .checks import CheckOutcome
@@ -26,14 +24,14 @@ SUITES = ("positive", "presentation", "shuffle", "fock", "all")
 SCHEMA_VERSION = 1
 
 
-@dataclass
 class Config:
-    N: int = 8
-    kmax: int = 5
-    lmax: int = 5
-    series_order: int = 6
-    specialize: Fraction = None
-    fmt: str = "json"
+    __slots__ = ("N", "kmax", "lmax", "series_order", "specialize", "fmt")
+
+    def __init__(
+        self, N=8, kmax=5, lmax=5, series_order=6, specialize=None, fmt="json"
+    ):
+        self.N, self.kmax, self.lmax, self.series_order = N, kmax, lmax, series_order
+        self.specialize, self.fmt = specialize, fmt  # specialize: a Fraction or None
 
     def validate(self):
         if self.N < 2:
@@ -51,7 +49,7 @@ class Config:
         return SpecializedField(self.specialize)
 
     def echo(self):
-        d = {
+        return {
             "N": self.N,
             "kmax": self.kmax,
             "lmax": self.lmax,
@@ -64,15 +62,14 @@ class Config:
             # do not change
             "jobs": 1,
         }
-        return d
 
 
-@dataclass
 class Report:
-    suite: str
-    config: Config
-    checks: list = dc_field(default_factory=list)
-    wall_time: float = 0.0
+    __slots__ = ("suite", "config", "checks", "wall_time")
+
+    def __init__(self, suite, config, checks=None, wall_time=0.0):
+        self.suite, self.config, self.wall_time = suite, config, wall_time
+        self.checks = [] if checks is None else checks
 
     @property
     def status(self):

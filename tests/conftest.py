@@ -1,18 +1,26 @@
 from fractions import Fraction
-from itertools import combinations
-from math import comb, factorial
+from functools import reduce
+from itertools import combinations, permutations
+from math import comb, factorial, prod
 
 import pytest
 
 from wsh import linalg
+from wsh._poly import pmul
 from wsh.field import FieldElem, RationalFunctionField
+from wsh.linalg import _pack, _slot_width, _unpack
 from wsh.multipoly import MultiPoly
 from wsh.operators import FREE_RELATIONS, OpContext, WindowError
 from wsh.partitions import add_part, boxes, content_power_sum, partitions_of
 from wsh.presentation import T0, T1, FreeAlgebra, Realization
 from wsh.series import TruncSeries, series_exp
 from wsh.shc import G_POWER, CentralRing
-from wsh.shuffle import ShuffleElem
+from wsh.shuffle import (
+    ShuffleElem,
+    _divided_difference,
+    _packed_product,
+    _packed_terms,
+)
 from wsh.symfunc import SymmetricFunctions
 
 
@@ -296,6 +304,71 @@ def _difference(i, j, n, field):
     return MultiPoly.variable(i, n, field) - MultiPoly.variable(j, n, field)
 
 
+def expanded(elem):
+    """The symmetric polynomial of a ShuffleElem: each dominant term
+    spread over its orbit."""
+    terms = {x: c for e, c in elem.terms.items() for x in permutations(e)}
+    return MultiPoly(elem.nvars, terms, elem.field, _clean=True)
+
+
+def extended(poly, nvars, offset=0):
+    """poly in nvars variables, its variables shifted up by offset."""
+    pad = (0,) * (nvars - poly.nvars - offset)
+    terms = {(0,) * offset + e + pad: c for e, c in poly.terms.items()}
+    return MultiPoly(nvars, terms, poly.field, _clean=True)
+
+
+def unpacked_poly(terms, nvars, dens, w, ew, field):
+    """The MultiPoly over field of packed terms (``shuffle._packed_terms``)
+    divided by the product of dens, every nonzero term unpacked: the full
+    counterpart of ``shuffle._dominant_part``."""
+    terms = {k: v for k, v in terms.items() if v}
+    if w is None:
+        coeffs = [Fraction(v, prod(dens)) for v in terms.values()]
+    else:
+        den = reduce(pmul, dens)
+        coeffs = [FieldElem(_unpack(v, w), den) for v in terms.values()]
+    mask = (1 << ew) - 1
+    exps = [tuple(k >> (i * ew) & mask for i in range(nvars)) for k in terms]
+    return MultiPoly(nvars, dict(zip(exps, coeffs)), field, _clean=True)
+
+
+def packed_terms_of(poly, nums, w, ew):
+    """The packed terms of poly, one exponent vector per numerator."""
+    return _packed_terms([(_pack(e, ew),) for e in poly.terms], nums, w)
+
+
+def star_product_full_terms(P, Q, kernel):
+    """``shuffle.star_product`` on every monomial, as it was before it kept
+    dominant terms: the expansions of P and Q in n variables and H_{r,s}
+    cleared and packed term by term, multiplied, put through the r·s
+    divided-difference steps and unpacked in full.  Returns the
+    MultiPoly."""
+    r, s = P.nvars, Q.nvars
+    n, field = r + s, P.field
+    factors = [
+        extended(expanded(P), n),
+        kernel.cross_factor(r, s),
+        extended(expanded(Q), n, offset=r),
+    ]
+    images = [linalg.cleared(f.terms.values(), field) for f in factors]
+    degree = sum(f.total_degree() for f in factors)
+    w = None
+    if field.mode == "exact":
+        p, h, q = ([abs(x) for num in nums for x in num] for _, nums in images)
+        growth = prod(degree + 1 - t for t in range(r * s))
+        w = _slot_width(sum(p) * sum(q) * max(h) * growth)
+    ew = _slot_width(degree)
+    pk, hk, qk = (
+        packed_terms_of(f, nums, w, ew) for f, (_, nums) in zip(factors, images)
+    )
+    G = _packed_product(_packed_product(pk, hk), qk)
+    for b in range(r - 1, -1, -1):
+        for i in range(b, b + s):
+            G = _divided_difference(G, i, ew)
+    return unpacked_poly(G, n, [d for d, _ in images], w, ew, field)
+
+
 def star_product_oracle(P, Q, kernel):
     """Shuffle product with the g = h/z twist by clearing the full
     Vandermonde Δ_n: each shuffle term is multiplied by Δ_n/σ(W), W the
@@ -305,9 +378,9 @@ def star_product_oracle(P, Q, kernel):
     r, s = P.nvars, Q.nvars
     n = r + s
     if r == 0:
-        return Q.scale(P.poly.coefficient(()))
+        return Q.scale(P.terms.get((), field.zero))
     if s == 0:
-        return P.scale(Q.poly.coefficient(()))
+        return P.scale(Q.terms.get((), field.zero))
     one = MultiPoly.constant(field.one, n, field)
 
     def h_of(d):
@@ -317,7 +390,7 @@ def star_product_oracle(P, Q, kernel):
             power = power * d
         return out
 
-    base = P.poly.extend(n) * Q.poly.extend(n, offset=r)
+    base = extended(expanded(P), n) * extended(expanded(Q), n, offset=r)
     hcross, wcross = one, one
     for i in range(r):
         for j in range(r, n):

@@ -93,7 +93,8 @@ def test_eseries_bytes_are_pinned(capsys, argv, sha256):
 # at kappa = p/q the word images of a kernel certificate carry different
 # int denominators (powers of q), which the image matrix must bring to one;
 # in the small windows that exit 1 the relation span and a kernel bound
-# never meet, so the certificate runs at every point
+# never meet, so the certificate runs at every point (at kappa = p/q there
+# is one)
 PINNED_VERIFY = [
     (
         ("presentation", "--specialize", "7/3"),

@@ -1,11 +1,13 @@
 """Abstract generators and relations: rewriting and the realizations."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 from conftest import column, evaluate_vectors_oracle, fraction_rank_oracle
 
 from wsh import linalg
+from wsh.cli import main
 from wsh.field import FieldElem, SpecializedField
 from wsh.operators import GradedOp, OpContext
 from wsh.presentation import (
@@ -204,6 +206,18 @@ def test_certificate_goes_on_past_a_point_where_the_span_drops(ctx6, monkeypatch
     ]
 
 
+def test_certificate_at_a_rational_kappa_ranks_at_one_point(monkeypatch, capsys):
+    # at kappa = 7/3 the ring entries are ints, whose rank no point moves:
+    # in a window where the span and the kernel bound never meet, V and M
+    # are ranked once each, and the report keeps its pinned bytes
+    calls = _counting_ranks(monkeypatch)
+    argv = ["verify", "presentation", "--max-degree", "5", "--specialize", "7/3"]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert [pt for _, pt in calls] == [linalg.CERTIFICATE_POINTS[0]] * 2
+    assert hashlib.sha256(out.encode()).hexdigest().startswith("132640e4278d8a89")
+
+
 def test_certificate_of_no_elements_is_included(ctx6, realizations):
     words, _ = ctx6.free.rank2_relations(4)
     assert kernel_certificate([], words, ctx6.realize) == (True, 0, 3)
@@ -214,15 +228,15 @@ def test_certificate_of_no_elements_is_included(ctx6, realizations):
 def _field_rows(images):
     """The coordinates of operators or shuffle elements as field-element
     vectors: the decoded flattened operators, or the coefficients over
-    the sorted union of the monomials."""
+    the sorted union of the dominant exponent vectors."""
     if isinstance(images[0], GradedOp):
         return [
             [x for n in sorted(op.blocks) for row in op.block(n) for x in row]
             for op in images
         ]
-    basis = sorted(set().union(*(e.poly.terms for e in images)))
+    basis = sorted(set().union(*(e.terms for e in images)))
     zero = images[0].field.zero
-    return [[e.poly.terms.get(m, zero) for m in basis] for e in images]
+    return [[e.terms.get(m, zero) for m in basis] for e in images]
 
 
 def _ring_as_field(x, field):

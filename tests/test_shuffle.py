@@ -1,12 +1,21 @@
 """Shuffle algebra with the cubic-twisted product."""
 
+import itertools
 import random
 from fractions import Fraction
 from itertools import combinations
 from math import prod
 
 import pytest
-from conftest import FieldSpan, kernel_of_vectors, star_product_oracle
+from conftest import (
+    FieldSpan,
+    expanded,
+    kernel_of_vectors,
+    packed_terms_of,
+    star_product_full_terms,
+    star_product_oracle,
+    unpacked_poly,
+)
 from test_multipoly import random_poly
 
 from wsh import linalg
@@ -20,9 +29,8 @@ from wsh.shuffle import (
     ShuffleContext,
     ShuffleElem,
     _divided_difference,
+    _dominant_part,
     _packed_product,
-    _packed_terms,
-    _unpacked_poly,
     star_product,
 )
 
@@ -66,7 +74,7 @@ def test_square_of_degree_zero_generator(sc):
     got = product(sc, 0, 0)
     d = z(0) - z(1)
     want = d * d * 2 - MultiPoly.constant((k * k - k + 1) * 2, 2, F)
-    assert got.poly == want
+    assert expanded(got) == want
 
 
 def test_commutator_closed_form(sc):
@@ -76,12 +84,17 @@ def test_commutator_closed_form(sc):
         comm = product(sc, a, b) - product(sc, b, a)
         anti = z(0) ** a * z(1) ** b - z(0) ** b * z(1) ** a
         want = anti.divexact(z(0) - z(1)) * (k * (k - 1) * 2)
-        assert comm.poly == want
+        assert expanded(comm) == want
 
 
 def test_products_are_symmetric_polynomials(sc):
+    # the full-term product is a symmetric polynomial, and its dominant
+    # terms are the product
+    g = lambda l: ShuffleElem.generator(l, F)
     for a, b in [(0, 0), (1, 2), (3, 3)]:
-        assert product(sc, a, b).poly.is_symmetric()
+        full = star_product_full_terms(g(a), g(b), sc.kernel)
+        assert full.is_symmetric()
+        assert ShuffleElem(full) == product(sc, a, b)
 
 
 def test_small_associativity():
@@ -119,7 +132,7 @@ def test_certified_relation_span_is_the_oracle_kernel(rank, field, dim):
     else:
         words, rels = sc.free.rank3_relations(3)
     assert kernel_certificate(rels, words, sc.realize) == (True, dim, dim)
-    images = [sc.realize.word(w).poly.terms for w in words]
+    images = [expanded(sc.realize.word(w)).terms for w in words]
     basis = sorted(set().union(*images))
     vecs = [[t.get(m, field.zero) for m in basis] for t in images]
     rank_, kernel = kernel_of_vectors(vecs, field)
@@ -232,8 +245,8 @@ def packed_divided_difference(f, i):
     den, nums = linalg.cleared(f.terms.values(), field)
     w = None if field.mode == "specialized" else _slot_width(norm1(nums))
     ew = _slot_width(max(f.total_degree(), 1))
-    out = _divided_difference(_packed_terms(f, nums, w, ew), i, ew)
-    return _unpacked_poly(out, f.nvars, [den], w, ew, field)
+    out = _divided_difference(packed_terms_of(f, nums, w, ew), i, ew)
+    return unpacked_poly(out, f.nvars, [den], w, ew, field)
 
 
 @pytest.mark.parametrize("field", [F, S])
@@ -245,10 +258,17 @@ def test_packed_terms_round_trip(field):
     den, nums = linalg.cleared(p.terms.values(), field)
     w = None if field is S else _slot_width(norm_inf(nums))
     ew = _slot_width(p.total_degree())
-    packed = _packed_terms(p, nums, w, ew)
+    packed = packed_terms_of(p, nums, w, ew)
     assert len(packed) == len(p.terms)
     assert all(type(c) is int for c in packed.values())
-    assert _unpacked_poly(packed, 3, [den], w, ew, field) == p
+    assert unpacked_poly(packed, 3, [den], w, ew, field) == p
+    # a symmetric polynomial comes back as its dominant terms only
+    sym = p.symmetrize()
+    den, nums = linalg.cleared(sym.terms.values(), field)
+    w = None if field is S else _slot_width(norm_inf(nums))
+    ew = _slot_width(sym.total_degree())
+    got = _dominant_part(packed_terms_of(sym, nums, w, ew), 3, [den], w, ew, field)
+    assert got == ShuffleElem(sym) and len(got.terms) < len(sym.terms)
 
 
 @pytest.mark.parametrize("field", [F, S])
@@ -263,8 +283,9 @@ def test_packed_product_is_the_termwise_product(field):
             (da, na), (db, nb) = (linalg.cleared(f.terms.values(), field) for f in (a, b))
             w = None if field is S else _slot_width(norm1(na) * norm_inf(nb))
             ew = _slot_width(a.total_degree() + b.total_degree())
-            got = _packed_product(_packed_terms(a, na, w, ew), _packed_terms(b, nb, w, ew))
-            assert _unpacked_poly(got, n, [da, db], w, ew, field) == a * b
+            pa, pb = packed_terms_of(a, na, w, ew), packed_terms_of(b, nb, w, ew)
+            got = _packed_product(pa, pb)
+            assert unpacked_poly(got, n, [da, db], w, ew, field) == a * b
 
 
 @pytest.mark.parametrize("field", [F, S])
@@ -319,8 +340,8 @@ def shuffle_sum_at(P, Q, point, kappa):
     total = Fraction(0)
     for sub in combinations(range(n), P.nvars):
         rest = [j for j in range(n) if j not in sub]
-        term = _value(P.poly, [point[i] for i in sub], kappa)
-        term *= _value(Q.poly, [point[j] for j in rest], kappa)
+        term = _value(expanded(P), [point[i] for i in sub], kappa)
+        term *= _value(expanded(Q), [point[j] for j in rest], kappa)
         for i in sub:
             for j in rest:
                 term *= _kernel_value(point[i] - point[j], kappa)
@@ -340,7 +361,7 @@ def test_star_product_matches_the_shuffle_sum_at_points(field, r, s):
     m = field.from_int(2**64 - 1)
     P = ShuffleElem((random_poly(rng, r, field, terms=2) * m).symmetrize())
     Q = ShuffleElem(random_poly(rng, s, field, terms=2).symmetrize() * -m)
-    got = star_product(P, Q, ker).poly
+    got = expanded(star_product(P, Q, ker))
     kappa = S.kappa if field is S else Fraction(rng.randint(-999, 999), rng.randint(1, 99))
     if field is F:
         got = _at_kappa(got, kappa)  # once, not at every point
@@ -391,4 +412,110 @@ def test_star_product_past_the_plain_product_bound(P, Q):
     assert bound.bit_length() == top.bit_length() - 1
     got = star_product(P, Q, ker)
     assert got == star_product_oracle(P, Q, ker)
-    assert max(max(x.num) for x in got.poly.terms.values()) >= top
+    assert max(max(x.num) for x in got.terms.values()) >= top
+
+
+def _is_dominant(e):
+    return list(e) == sorted(e, reverse=True)
+
+
+@pytest.mark.parametrize("field", [F, S])
+def test_star_product_keeps_the_dominant_terms_of_the_full_term_product(field):
+    """Shapes (1,1), (1,2), (2,1) and (2,2), exact and at kappa = 7/3:
+    the product stores only weakly decreasing exponent vectors, and its
+    expansion is the product on every monomial (the construction it
+    replaced)."""
+    rng = random.Random(4242)
+    ker = Kernel(field)
+    for r, s in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        for _ in range(2):
+            P, Q = _random_elem(rng, r, field), _random_elem(rng, s, field)
+            got = star_product(P, Q, ker)
+            assert got.terms and all(map(_is_dominant, got.terms))
+            assert expanded(got) == star_product_full_terms(P, Q, ker)
+
+
+@pytest.mark.parametrize("n, degree", [(2, 1), (3, 3), (4, 3), (3, 4)])
+def test_dominant_part_keeps_exactly_the_weakly_decreasing_vectors(n, degree):
+    """Every exponent vector with entries up to degree, packed at the
+    width of degree, each slot's top value 2^(ew-1) - 1 included: the
+    guard-bit test keeps the weakly decreasing ones."""
+    ew = _slot_width(degree)
+    box = list(itertools.product(range(degree + 1), repeat=n))
+    packed = {linalg._pack(e, ew): 1 for e in box}
+    got = _dominant_part(packed, n, [1], None, ew, S)
+    assert set(got.terms) == {e for e in box if _is_dominant(e)}
+
+
+def test_only_the_constructor_checks_symmetry(monkeypatch):
+    """Sums, differences, scalings and star products make no symmetry
+    check; a polynomial coming in makes one, and a non-symmetric one is
+    refused."""
+    ker = Kernel(F)
+    rng = random.Random(5)
+    P, Q = _random_elem(rng, 2, F), _random_elem(rng, 1, F)
+    calls = []
+    is_symmetric = MultiPoly.is_symmetric
+    monkeypatch.setattr(
+        MultiPoly, "is_symmetric", lambda p: calls.append(p) or is_symmetric(p)
+    )
+    R = star_product(Q, Q, ker)
+    (P + R - P.scale(F.kappa)).scale(F.from_int(3))
+    star_product(star_product(P, Q, ker), Q, ker)
+    assert calls == []
+    ShuffleElem(expanded(P))
+    assert len(calls) == 1
+    x, y = z(0), z(1)
+    for poly in (x, x * x * y + x * y * y * 2, x * y + x):
+        with pytest.raises(ValueError):
+            ShuffleElem(poly)
+
+
+@pytest.mark.parametrize("field", [F, S])
+def test_dominant_and_full_coordinates_have_the_same_rank(field):
+    """On the rank-3 words at d <= 4, the coordinates over dominant
+    exponent vectors and over every monomial have the same rank at every
+    certificate point: the full columns repeat the dominant ones."""
+    sc = ShuffleContext(field)
+    for d in range(5):
+        words, _ = sc.free.rank3_relations(d)
+        images = [sc.realize.word(w) for w in words]
+        full = [expanded(e).terms for e in images]
+        basis = sorted(set().union(*full))
+        rows = [
+            linalg.cleared([t.get(m, field.zero) for m in basis], field)[1]
+            for t in full
+        ]
+        dominant = ShuffleElem.coordinates(images)
+        assert len(dominant[0]) < len(basis)
+        for pt in linalg.CERTIFICATE_POINTS:
+            assert linalg.rank_lower_bound(dominant, pt) == linalg.rank_lower_bound(
+                rows, pt
+            )
+
+
+def test_slot_widths_bound_the_full_factors(monkeypatch):
+    """star_product sizes its slots from the full P and Q, each dominant
+    numerator counted once per member of its orbit: it passes
+    ``_slot_width`` the values the full-term product does.  A bound from
+    the dominant terms alone would undersize w, and no decode would
+    report it."""
+    import conftest
+
+    from wsh import shuffle
+
+    rng = random.Random(77)
+    ker = Kernel(F)
+    for r, s in ((2, 1), (1, 2), (2, 2), (3, 1)):
+        P, Q = _random_elem(rng, r, F), _random_elem(rng, s, F)
+        seen = []
+        for module, product_ in (
+            (shuffle, star_product),
+            (conftest, star_product_full_terms),
+        ):
+            calls = []
+            record = lambda b, calls=calls: calls.append(b) or _slot_width(b)
+            monkeypatch.setattr(module, "_slot_width", record)
+            product_(P, Q, ker)
+            seen.append(sorted(calls))
+        assert seen[0] == seen[1] and len(seen[0]) == 2
