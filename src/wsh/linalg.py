@@ -15,7 +15,7 @@ back.  Four layers work on it:
 * field-element matrices: a fraction-free product (``mat_mul``), which
   clears denominators once per row and column, multiplies the
   numerators with a ring product and reduces each result entry once, for
-  the Jack-basis products and the eigenvalues of decoded operator blocks;
+  the Jack-basis products;
 * one fraction-free echelon form ("SpanBasis") on primitive ring rows,
   Z[kappa]-primitive rows in exact mode: each elimination step divides
   the pivot pair by its gcd and the new row by the gcd of its entries in
@@ -25,8 +25,8 @@ back.  Four layers work on it:
   prime 2^61 - 1 at kappa = a/b and eliminated over that prime field.
 
 The Kronecker packing (``_pack``, ``_unpack``, ``_slot_width``) also
-serves ``shuffle.star_product``, which packs the cleared terms of its
-factors.
+serves ``shuffle.star_product`` and the relation checks at one point
+kappa = 2^W (``presentation.Realization.point``, which unpacks nothing).
 """
 
 from __future__ import annotations

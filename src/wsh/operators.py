@@ -9,10 +9,11 @@ operators, rational scalars such as the 1/2 of the quadratic relation), so
 a block holds Z[kappa] numerators as coefficient tuples in exact mode and
 ints at kappa = p/q, over one denominator (GradedOp).  Compose is a ring
 matrix product, and sums, scaling and the zero test are ring arithmetic;
-field elements appear only where a block is decoded (``GradedOp.block``),
-for the Jack-basis eigenvalues and the tests.  Every identity check
-reports the window of source degrees it actually verified; a pass is
-always a pass-on-window claim.
+the relation checks run at one Kronecker point kappa = 2^W, on ints
+(``GradedOp.at_point``).  Field elements appear only where a block is
+decoded (``GradedOp.block``): the lowering operators and the tests.  Every
+identity check reports the window of source degrees it actually verified;
+a pass is always a pass-on-window claim.
 
 The relations of the presentation are not written here: OpContext
 realizes the free-algebra relation elements of ``presentation`` on its
@@ -23,13 +24,14 @@ D_{r,d} are built directly.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd, lcm
-from operator import add, sub
+from operator import add, mul, sub
 
 from . import _poly as P
 from . import linalg
 from .checks import CheckOutcome, zero_check
-from .field import FieldElem, format_poly
+from .field import FieldElem, SpecializedField, format_poly
 from .partitions import add_part, partitions_of
 from .presentation import T0, T1, FreeAlgebra, Realization
 from .symfunc import SymmetricFunctions
@@ -69,7 +71,7 @@ class GradedOp:
     ``compose`` is one ring matrix product per block (``linalg.
     ring_product``); ``+``, ``-`` and ``scale`` work entrywise on the
     numerators.  ``block(n)`` decodes one block into field elements, for
-    the Jack-basis products and the tests; the operator algebra never
+    the lowering operators and the tests; the operator algebra never
     does.
     """
 
@@ -109,6 +111,8 @@ class GradedOp:
     def _common(self, other):
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
+        if self.field.kappa != other.field.kappa:  # two Kronecker points
+            raise ValueError("operators at different values of kappa")
         degs = sorted(set(self.blocks) & set(other.blocks))
         if not degs:
             raise WindowError("truncation too small: empty validity window")
@@ -179,6 +183,8 @@ class GradedOp:
         ]
         if not pairs:
             raise WindowError("truncation too small: empty validity window")
+        if self.field.kappa != other.field.kappa:
+            raise ValueError("operators at different values of kappa")
         product = linalg.ring_product(self.field)
         A, B = self.blocks, other.blocks
         blocks = {n: product(A[m], B[n]) for n, m in pairs}
@@ -211,6 +217,22 @@ class GradedOp:
             for row in self.blocks[n]:
                 out.extend(row)
         return out
+
+    def norm(self):
+        """The largest row sum of entry l1-norms: a bound on the l1-norm of
+        every entry, and submultiplicative under ``compose``."""
+        rows = (row for b in self.blocks.values() for row in b)
+        return max(sum(sum(map(abs, x)) for x in row) for row in rows)
+
+    def at_point(self, width):
+        """The numerators over 1 at kappa = 2^width, each entry packed
+        into one int (``linalg._pack``), over the field of that point; at
+        kappa = p/q (width None) the numerators as they are."""
+        if width is None:
+            return GradedOp(self.rank, self.blocks, self.field)
+        pack = linalg._pack
+        blocks = {n: [[pack(x, width) for x in r] for r in b] for n, b in self.blocks.items()}
+        return GradedOp(self.rank, blocks, SpecializedField(Fraction(1 << width)))
 
     @staticmethod
     def coordinates(ops):
@@ -282,6 +304,7 @@ class OpContext:
         self._dprime = {}
         self._lower = {}
         self._spans = {}
+        self._jack = {}
         self.free = FreeAlgebra(field, L=None, K=None)
         self.realize = Realization(
             {T0: self.sekiguchi, T1: self.d1},
@@ -398,19 +421,29 @@ class OpContext:
     def jack_eigenvalues(self, op: GradedOp, n):
         """Eigenvalues of a rank-0 block B on the Jack basis, in
         partitions_of(n) order: eig_j when column j of B·C is eig_j times
-        column j of the Jack matrix C, and None when it is not."""
+        column j of the Jack matrix C, and None when it is not.  With c_j
+        the cleared columns of C (cached) and img = B·(c_j), a ring product,
+        that is img[i][j]·c_j[-1] = img[-1][j]·c_j[i] for every i: the last
+        row, p_(1^n), is 1 in every Jack column."""
         if op.rank != 0:
             raise ValueError("rank-0 operator required")
-        C = self.sym.jack_matrix(n)
-        image = linalg.mat_mul(op.block(n), C, self.field)
-        eigs = []
-        for j in range(len(C)):
-            # the last row, p_(1^n), is 1 in every Jack column
-            eig = image[-1][j] / C[-1][j]
-            if any(row[j] != eig * c[j] for row, c in zip(image, C)):
-                eig = None
-            eigs.append(eig)
-        return eigs
+        if n not in op.blocks:
+            raise WindowError("degree %d outside operator window" % n)
+        if n not in self._jack:
+            C = self.sym.jack_matrix(n)
+            cols = [linalg.cleared(c, self.field)[1] for c in zip(*C)]
+            self._jack[n] = cols, list(zip(*cols))
+        cols, C = self._jack[n]
+        img = linalg.ring_product(self.field)(op.blocks[n], C)
+        elem, times, den = Fraction, mul, op.den
+        if self.field.mode == "exact":
+            elem, times, den = FieldElem, P.pmul, (op.den,)
+        return [
+            elem(img[-1][j], times(c[-1], den))
+            if all(times(r[j], c[-1]) == times(img[-1][j], x) for r, x in zip(img, c))
+            else None
+            for j, c in enumerate(cols)
+        ]
 
     # -- relation checks -----------------------------------------------------
 
@@ -422,10 +455,10 @@ class OpContext:
 
     def _relation(self, rid, *args) -> GradedOp:
         """The operator that relation ``rid`` says is zero: a free-algebra
-        relation realized on the raising half, or an identity among the
-        derived generators D_{r,d}."""
+        relation realized on the raising half at one point (up to a nonzero
+        factor), or an identity among the derived generators D_{r,d}."""
         if rid in FREE_RELATIONS:
-            return self.realize(getattr(self.free, FREE_RELATIONS[rid])(*args))
+            return self.realize.point(getattr(self.free, FREE_RELATIONS[rid])(*args))
         if rid == "kl_identity":
             k, l = args
             bracket = self.drd(k, 1).commutator(self.drd(l, 0))

@@ -6,8 +6,8 @@ Words are built from two alphabets: commuting letters t0[l]
 relation of the presentation is written once, here, as a free element,
 and checked by realizing it:
 
-* on operators (the evaluation map): t0[l] goes to the commuting rank-0
-  operator D_{0,l}, t1[k] to the rank-1 raising operator D_{1,k};
+* on operators, t0[l] going to D_{0,l} and t1[k] to the raising operator
+  D_{1,k} (a zero check takes one point kappa = 2^W: Realization.point);
 * on the negative half: the same letters with t1[k] going to the lowering
   operator D_{-1,k}, as an anti-homomorphism (products reversed);
 * on the shuffle algebra: t1[k] goes to z^k under the star product.
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 from itertools import permutations
-from math import comb
+from math import comb, lcm, prod
 
 from . import linalg
 from .checks import CheckOutcome, zero_check
@@ -323,11 +323,11 @@ class Realization:
 
     A word is its first letter times the image of the rest (the rest
     times the first letter when ``anti``), so it is built from its last
-    letter.  Images of words of t1 letters are cached: the relations share
-    those products (the rank-2 family, the quadratic and exchange
-    relations, the kernel certificates), so each is composed once per
-    realization.  A word with a t0 letter occurs in a single relation;
-    keeping it would only raise peak memory.
+    letter.  Images of letters and of words of t1 letters are cached: the
+    relations share those products (the rank-2 family, the quadratic and
+    exchange relations, the kernel certificates), so each is composed once
+    per realization.  Any other word occurs in a single relation; keeping
+    it would only raise peak memory.
 
     ``coordinates`` maps a list of images to their coordinates over one
     basis, as the ring numerators (``linalg.cleared``) of the images over
@@ -342,6 +342,7 @@ class Realization:
         self.anti = anti
         self.coordinates = coordinates
         self._words = {}
+        self._points, self._norms = {}, {}
 
     def word(self, w):
         value = self._words.get(w)
@@ -357,18 +358,56 @@ class Realization:
                     self.product(rest, head) if self.anti
                     else self.product(head, rest)
                 )
-            if all(kind == T1 for kind, _ in w):
+            if len(w) == 1 or all(kind == T1 for kind, _ in w):
                 self._words[w] = value
         return value
 
     def __call__(self, el: FreeElement):
+        return self._sum(el.terms.items(), el.algebra.field.zero)
+
+    def _sum(self, terms, zero):
+        """The sum of c times the image of w over the (w, c) pairs."""
         total = None
-        for w, c in el.terms.items():
+        for w, c in terms:
             term = self.word(w).scale(c)
             total = term if total is None else total + term
-        if total is None:
-            return self.word(()).scale(el.algebra.field.zero)
-        return total
+        return self.word(()).scale(zero) if total is None else total
+
+    def point(self, el: FreeElement):
+        """The image of ``el`` at one Kronecker point kappa = 2^W, ints from
+        letter to verdict: P(2^W) over 1 for P = L·D·self(el), which has
+        the window and the zero blocks of self(el); D clears the
+        coefficients (v_w over D), L is the lcm of the denominators d_w of
+        the word images N_w/d_w, and P = Σ v_w·(L/d_w)·N_w.  Before any
+        evaluation, every entry of P has l1-norm at most B = Σ ‖v_w‖₁·
+        (L/d_w)·Π ‖a‖ over the letters a of w (GradedOp.norm), and W is the
+        least multiple of 64 with B < 2^(W-1): an integer polynomial with
+        coefficients inside ±2^(W-1) is zero iff its value at 2^W is
+        (Harvey, J. Symbolic Comput. 44 (2009)).  Letters are packed once
+        per W (GradedOp.at_point); at kappa = p/q nothing is (W None)."""
+        field = el.algebra.field
+        words = list(el.terms)
+        nums = linalg.cleared(list(el.terms.values()), field)[1]
+        dens = [prod(self.word((a,)).den for a in w) for w in words]
+        scales = [lcm(*dens) // d for d in dens]
+        width = None
+        if field.mode == "exact":
+            for a in {a for w in words for a in w} - self._norms.keys():
+                self._norms[a] = self.word((a,)).norm()
+            bound = sum(
+                sum(map(abs, v)) * k * prod(self._norms[a] for a in w)
+                for w, v, k in zip(words, nums, scales)
+            )
+            width = -(-linalg._slot_width(bound) // 64) * 64
+            nums = [linalg._pack(v, width) for v in nums]
+        rho = self._points.get(width)
+        if rho is None:
+            pack = lambda kind: lambda i: self.word(((kind, i),)).at_point(width)
+            rho = self._points[width] = Realization(
+                {kind: pack(kind) for kind in self.letters},
+                self.product, lambda: self.unit().at_point(width), self.anti,
+            )
+        return rho._sum([(w, v * k) for w, v, k in zip(words, nums, scales)], 0)
 
 
 class PresentationContext:
@@ -382,7 +421,7 @@ class PresentationContext:
 
     def normal_order_example_check(self) -> CheckOutcome:
         """A fixed two-rewrite word: normal order is computed symbolically
-        and certified by operator evaluation of both sides."""
+        and certified by realizing the difference of both sides."""
         alg = self.algebra
         x = alg.t0(2) * alg.t0(3) * alg.t1(0)
         nx = x.normal_order()
@@ -390,9 +429,7 @@ class PresentationContext:
             w == tuple(sorted(w, key=lambda s: (s[0] != T1, s)))
             for w in nx.terms
         )
-        same = (
-            x.evaluate(self.opctx) - nx.evaluate(self.opctx)
-        ).is_zero()
+        same = self.opctx.realize.point(x - nx).is_zero()
         status = "pass" if ordered and same else "fail"
         return CheckOutcome(
             "presentation_normal_order_example", (0, self.opctx.N), status
@@ -401,32 +438,22 @@ class PresentationContext:
     def normal_order_soundness_check(self, trials=8, seed=421) -> CheckOutcome:
         """Randomized words: evaluation commutes with normal ordering and
         normal ordering is idempotent."""
-        alg = self.algebra
-        for t, x in enumerate(random_elements(alg, trials, seed)):
+        cid, window = "presentation_normal_order_soundness", (0, trials - 1)
+        for t, x in enumerate(random_elements(self.algebra, trials, seed)):
             nx = x.normal_order()
             if nx.normal_order() != nx:
+                return CheckOutcome(cid, window, "fail", "trial %d: not idempotent" % t)
+            if not self.opctx.realize.point(x - nx).is_zero():
                 return CheckOutcome(
-                    "presentation_normal_order_soundness",
-                    (0, trials - 1),
-                    "fail",
-                    detail="trial %d: not idempotent" % t,
+                    cid, window, "fail", "trial %d: evaluation changed" % t
                 )
-            if not (x.evaluate(self.opctx) - nx.evaluate(self.opctx)).is_zero():
-                return CheckOutcome(
-                    "presentation_normal_order_soundness",
-                    (0, trials - 1),
-                    "fail",
-                    detail="trial %d: evaluation changed" % t,
-                )
-        return CheckOutcome(
-            "presentation_normal_order_soundness", (0, trials - 1), "pass"
-        )
+        return CheckOutcome(cid, window, "pass")
 
     def relation_zero_checks(self) -> list:
         """Every relation element of the bounded alphabet evaluates to the
         zero operator."""
         return [
-            zero_check(rid, el.evaluate(self.opctx))
+            zero_check(rid, self.opctx.realize.point(el))
             for rid, el in self.algebra.relation_set()
         ]
 

@@ -233,7 +233,7 @@ class ShcContext:
     def negative_cross_checks(self, L, K) -> list:
         """[lowering k, degree-zero l] = lowering k+l-1 on windows: the
         negative image of the cross relation (l, k)."""
-        neg = self.opctx.realize_negative
+        neg = self.opctx.realize_negative.point
         alg = self.opctx.free
         out = []
         for l in range(1, L + 1):
@@ -277,7 +277,7 @@ class ShcContext:
         the two sign readings of the negative quadratic relation, "minus"
         is -1 times the negative image and "plus" the image under the
         homomorphism onto the lowering operators; exactly one vanishes."""
-        neg = self.opctx.realize_negative
+        neg = self.opctx.realize_negative.point
         alg = self.opctx.free
         cubic = neg(alg.cubic_relation())
         quad = alg.quadratic_relation()

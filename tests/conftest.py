@@ -466,6 +466,22 @@ def jack_conjugate_oracle(ctx, op, n):
     return mat_mul_oracle(Cinv, mat_mul_oracle(op.block(n), C, F), F)
 
 
+def jack_eigenvalues_oracle(ctx, op, n):
+    """Eigenvalues of a rank-0 block B on the Jack basis from the decoded
+    product B·C, one field division and p(n) field products per column:
+    the construction ``OpContext.jack_eigenvalues`` replaced."""
+    C = ctx.sym.jack_matrix(n)
+    image = linalg.mat_mul(op.block(n), C, ctx.field)
+    eigs = []
+    for j in range(len(C)):
+        # the last row, p_(1^n), is 1 in every Jack column
+        eig = image[-1][j] / C[-1][j]
+        if any(row[j] != eig * c[j] for row, c in zip(image, C)):
+            eig = None
+        eigs.append(eig)
+    return eigs
+
+
 def sekiguchi_conjugation_oracle(sym, l, n, eigs=None):
     """C·diag(eigs)·C^-1 at degree n, C the Jack matrix and eigs the
     content power sums of exponent l-1 unless given.  The reference for

@@ -126,6 +126,27 @@ PINNED_VERIFY = [
         1,
         "132640e4278d8a896ddffb103b6e8bd24b0323c3f008f1475f6dcebb755a06bf",
     ),
+    # the suites of the ops-exact benchmark workload, and one at kappa = p/q
+    (
+        ("positive", "--max-degree", "6"),
+        0,
+        "d2d1ab79f27810f842bd35ccf0c44e616edd668a67509af59d9545599605e2dd",
+    ),
+    (
+        ("presentation", "--max-degree", "6"),
+        0,
+        "49979a6de9d7b28f2b21e2af526b297777cb3177f2be5923a63994e243bfdb21",
+    ),
+    (
+        ("fock", "--max-degree", "6"),
+        0,
+        "3a3fd8ccfe25bba038c46561590d74a896a76b80afbdc088ca8e488f2ff533c2",
+    ),
+    (
+        ("fock", "--max-degree", "6", "--specialize", "7/3"),
+        0,
+        "c5fcc5ca197764433c116bf37e27b804a9a7b0194f260111910b2a6d1ea9b2b6",
+    ),
 ]
 
 

@@ -6,13 +6,15 @@ import pytest
 from conftest import (
     central_series_oracle,
     jack_conjugate_oracle,
+    jack_eigenvalues_oracle,
     omega_preset_oracle,
     phi_series_oracle,
     varphi_series_oracle,
 )
 
-from wsh.field import SpecializedField
-from wsh.operators import GradedOp
+from wsh._poly import padd
+from wsh.field import RationalFunctionField, SpecializedField
+from wsh.operators import GradedOp, OpContext
 from wsh.partitions import partitions_of
 from wsh.shc import (
     GCONVENTIONS,
@@ -128,6 +130,28 @@ def test_jack_eigenvalues_match_the_conjugation_oracle(shc6):
                     assert eig == B[j][j]
             if op is lengths and n >= 2:
                 assert None in eigs
+
+
+@pytest.mark.parametrize("kappa", [None, Fraction(7, 3)], ids=["exact", "7/3"])
+def test_fraction_free_jack_eigenvalues_match_the_decoded_oracle(kappa):
+    # the same lists, Nones included, as the decoded product B·C with field
+    # divisions: D_{0,l} for l = 1..4, the fock operators [D_{-1,k},
+    # D_{1,h-k}] at N <= 6, and a block with one entry moved off the
+    # diagonal of D_{0,2}
+    F = RationalFunctionField() if kappa is None else SpecializedField(kappa)
+    ctx = OpContext(F, 6)
+    shc = ShcContext(ctx)
+    ops = [ctx.sekiguchi(l) for l in range(1, 5)]
+    ops += [shc.e_operator(k, h - k) for h in range(5) for k in range(h + 1)]
+    blocks = dict(ctx.sekiguchi(2).blocks)
+    blocks[4] = [list(row) for row in blocks[4]]
+    blocks[4][0][2] = padd(blocks[4][0][2], (1,)) if kappa is None else blocks[4][0][2] + 1
+    perturbed = GradedOp(0, blocks, F, ctx.sekiguchi(2).den)
+    for op in ops + [perturbed]:
+        for n in sorted(op.blocks):
+            assert ctx.jack_eigenvalues(op, n) == jack_eigenvalues_oracle(ctx, op, n)
+    assert None in ctx.jack_eigenvalues(perturbed, 4)
+    assert None not in ctx.jack_eigenvalues(perturbed, 3)
 
 
 def test_negative_relations(shc6):
