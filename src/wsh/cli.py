@@ -114,9 +114,22 @@ def _config(args) -> Config:
     return Config(**{f: getattr(args, f) for f in _FLAGS if hasattr(args, f)})
 
 
+def _attached(argv):
+    """argv with "--specialize VALUE", or an abbreviation of the flag,
+    written "--specialize=VALUE": argparse reads only -N and -N.N as
+    negative numbers, and would take a detached -3/5 for a flag."""
+    out = []
+    for arg in argv:
+        if out and len(out[-1]) > 2 and "--specialize".startswith(out[-1]):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attached(sys.argv[1:] if argv is None else argv))
     cfg = _config(args)
     try:
         if args.command == "jack":

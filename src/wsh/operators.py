@@ -298,7 +298,6 @@ class OpContext:
         self.field = field
         self.N = N
         self.sym = SymmetricFunctions(field)
-        self._mult = {}
         self._sek = {}
         self._drd = {}
         self._dprime = {}
@@ -322,22 +321,21 @@ class OpContext:
     # -- generators --------------------------------------------------------
 
     def multiplication(self, l) -> GradedOp:
-        """Multiplication by the power sum p_l (rank l, order 0)."""
+        """Multiplication by the power sum p_l (rank l, order 0), built at
+        each call: drd(l, 0) keeps it."""
         if not 1 <= l <= self.N:
             raise WindowError("power-sum degree %d beyond truncation" % l)
-        if l not in self._mult:
-            zero, one = _ring(self.field)
-            blocks = {}
-            for n in range(0, self.N - l + 1):
-                src = partitions_of(n)
-                dst = partitions_of(n + l)
-                idx = {lam: i for i, lam in enumerate(dst)}
-                mat = [[zero] * len(src) for _ in dst]
-                for j, lam in enumerate(src):
-                    mat[idx[add_part(lam, l)]][j] = one
-                blocks[n] = mat
-            self._mult[l] = GradedOp(l, blocks, self.field)
-        return self._mult[l]
+        zero, one = _ring(self.field)
+        blocks = {}
+        for n in range(0, self.N - l + 1):
+            src = partitions_of(n)
+            dst = partitions_of(n + l)
+            idx = {lam: i for i, lam in enumerate(dst)}
+            mat = [[zero] * len(src) for _ in dst]
+            for j, lam in enumerate(src):
+                mat[idx[add_part(lam, l)]][j] = one
+            blocks[n] = mat
+        return GradedOp(l, blocks, self.field)
 
     def identity_op(self) -> GradedOp:
         """Rank-0 identity on every degree of the truncation window."""

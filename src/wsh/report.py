@@ -248,18 +248,13 @@ def emit_eseries(cfg: Config, convention: str, preset: str = None):
     field = cfg.make_field()
     eser = central_series(field, cfg.series_order, convention)
     if preset == "omega":
-        coeffs = omega_preset(eser)
-        eser = type(eser)(convention, eser.ring, coeffs)
+        eser = type(eser)(eser.ring, omega_preset(eser))
     elif preset == "fitted":
         ring = eser.ring
         values = {ring.c_index(0): field.one}
         for i in range(1, ring.M + 1):
             values[ring.c_index(i)] = field.zero
-        eser = type(eser)(
-            convention,
-            ring,
-            [p.substitute(values) for p in eser.coeffs],
-        )
+        eser = type(eser)(ring, [p.substitute(values) for p in eser.coeffs])
     doc = {
         "schema": SCHEMA_VERSION,
         "convention": convention,

@@ -26,7 +26,9 @@ k(u) = (u+1)(u-kappa)(u+kappa-1) whose root set also carries the addable
 box contents of the realization; the sign of xi is tied to the same
 content convention and is validated (not assumed) by the central-charge
 fit.  The two G_l readings ("printed" and "power") are both implemented;
-the Fock fit decides between them, nothing is hard-coded.
+the Fock fit decides between them, nothing is hard-coded.  The exponent's
+coefficients are read off the G_l expansions in closed form (``exponent``)
+and exponentiated by the recurrence of ``series.series_exp``.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .checks import CheckOutcome
 from .multipoly import MultiPoly
 from .operators import GradedOp, WindowError, skipped, zero_or_skip
 from .partitions import content_power_sum, partitions_of
-from .series import TruncSeries, series_exp
+from .series import series_exp
 
 G_PRINTED = "printed"
 G_POWER = "power"
@@ -78,16 +80,13 @@ class CentralRing:
     def omega_index(self):
         return 2 * self.M + 2
 
-    def const(self, x) -> MultiPoly:
-        return MultiPoly.constant(x, self.nvars, self.field)
-
     @property
     def zero(self):
         return MultiPoly.zero(self.nvars, self.field)
 
     @property
     def one(self):
-        return self.const(self.field.one)
+        return MultiPoly.constant(self.field.one, self.nvars, self.field)
 
     def c(self, i) -> MultiPoly:
         return MultiPoly.variable(self.c_index(i), self.nvars, self.field)
@@ -101,49 +100,46 @@ class CentralRing:
 
 
 # ----------------------------------------------------------------------
-# the kernel series (coefficients are ring constants)
+# the exponent (coefficients are linear forms in the c_l and d_{l+1})
 # ----------------------------------------------------------------------
 
 
-def _g_series(l, conv, a, order, ring) -> TruncSeries:
-    """G_l(1 + a s), which has zero constant term: the coefficient of s^k
-    is (-a)^k / k at l = 0 and C(p+k-1, k) (-a)^k / l otherwise, with
-    p = l under the power convention and p = 1 under the printed one."""
-    f = ring.field
+def _g(l, conv, a, k):
+    """The coefficient of s^k, k >= 1, in G_l(1 + a s): (-a)^k / k at l = 0
+    and C(p+k-1, k) (-a)^k / l otherwise, with p = l under the power
+    convention and p = 1 under the printed one."""
     p = l if conv == G_POWER else 1
-    coeffs = [ring.zero]
-    x = f.one
-    for k in range(1, order + 1):
-        x = x * -a
-        weight = Fraction(1, k) if l == 0 else Fraction(comb(p + k - 1, k), l)
-        coeffs.append(ring.const(x * f.from_fraction(weight)))
-    return TruncSeries(coeffs, order, ring.zero)
+    weight = Fraction(1, k) if l == 0 else Fraction(comb(p + k - 1, k), l)
+    return (-a) ** k * weight
 
 
-def phi_series(l, conv, order, ring) -> TruncSeries:
-    """phi_l = s^l G_l(1 + xi s), the series multiplying (-1)^(l+1) c_l in
-    the exponent."""
+def exponent(ring, conv) -> list:
+    """The coefficients x_0..x_M of the exponent
+    sum (-1)^(l+1) c_l phi_l + d_{l+1} varphi_l.  As G_l(1 + a s) has zero
+    constant term, phi_l and varphi_l start at s^(l+1), so x_k is a linear
+    form in c_l and d_{l+1} for l < k, its coefficients read off G_l at
+    s^(k-l)."""
     f = ring.field
-    return _g_series(l, conv, f.kappa - f.one, order, ring).shift(l)
-
-
-def varphi_series(l, conv, order, ring) -> TruncSeries:
-    """varphi_l = s^l sum_q [G_l(1 - qs) - G_l(1 + qs)], the series
-    multiplying d_{l+1} in the exponent; q runs over the roots of the cubic
-    kernel of the realization."""
-    f = ring.field
-    total = TruncSeries.constant(ring.zero, order, ring.zero)
-    for q in (-f.one, f.kappa, f.one - f.kappa):
-        total = total + _g_series(l, conv, -q, order, ring)
-        total = total - _g_series(l, conv, q, order, ring)
-    return total.shift(l)
+    xi = f.kappa - f.one
+    roots = (-f.one, f.kappa, f.one - f.kappa)
+    out = [ring.zero]
+    for k in range(1, ring.M + 1):
+        x = ring.zero
+        for l in range(k):
+            sign = f.one if l % 2 else -f.one  # (-1)^(l+1)
+            x = x + ring.c(l) * (sign * _g(l, conv, xi, k - l))
+            diff = sum(
+                (_g(l, conv, -q, k - l) - _g(l, conv, q, k - l) for q in roots), f.zero
+            )
+            x = x + ring.d(l + 1) * diff
+        out.append(x)
+    return out
 
 
 class ESeries:
     """Expanded central series: E_0..E_{M-1} as ring polynomials."""
 
-    def __init__(self, conv, ring, coeffs):
-        self.conv = conv
+    def __init__(self, ring, coeffs):
         self.ring = ring
         self.coeffs = coeffs  # E_l, l = 0..M-1
 
@@ -174,16 +170,9 @@ def central_series(field, M, conv) -> ESeries:
             "rerun with a new kappa value"
         )
     ring = CentralRing(field, M)
-    exponent = TruncSeries.constant(ring.zero, M, ring.zero)
-    for l in range(M):
-        sign = field.one if l % 2 else -field.one  # (-1)^(l+1)
-        exponent = exponent + phi_series(l, conv, M, ring) * (ring.c(l) * sign)
-        exponent = exponent + varphi_series(l, conv, M, ring) * ring.d(l + 1)
-    if exponent.coeffs[0] != ring.zero:
-        raise ArithmeticError("exponent has a nonzero constant term")
-    total = series_exp(exponent, ring.one)
-    coeffs = [total.coeffs[l + 1] / xi for l in range(M)]
-    return ESeries(conv, ring, coeffs)
+    total = series_exp(exponent(ring, conv), ring.one)
+    coeffs = [total[l + 1] / xi for l in range(M)]
+    return ESeries(ring, coeffs)
 
 
 def omega_preset(eser: ESeries):
@@ -209,6 +198,7 @@ class ShcContext:
         self.field = opctx.field
         self._eops = {}
         self._eigs = {}
+        self._series = {}
 
     def e_operator(self, k, l) -> GradedOp:
         """[lowering k, raising l]: rank 0; the vacuum block is the pure
@@ -227,6 +217,16 @@ class ShcContext:
             op = self.e_operator(0, h)
             self._eigs[h, n] = self.opctx.jack_eigenvalues(op, n)
         return self._eigs[h, n]
+
+    def series(self, conv, M) -> ESeries:
+        """The central series under conv to order M or more, built once per
+        convention at the largest order asked for so far: c_l and d_{l+1}
+        enter the exponent from s^(l+1) on, so E_l depends on the order
+        only through the ring's variable count."""
+        eser = self._series.get(conv)
+        if eser is None or eser.ring.M < M:
+            eser = self._series[conv] = central_series(self.field, M, conv)
+        return eser
 
     # -- relation checks -----------------------------------------------------
 
@@ -342,40 +342,31 @@ class ShcContext:
         verify on the disjoint test partitions (sizes 3 and 4); returns
         (CheckOutcome, fitted dict or None)."""
         cid = "fock_fit(%s,hmax=%d)" % (conv, hmax)
-        eser = central_series(self.field, hmax + 1, conv)
+        window = (0, 4)
+
+        def failed(detail):
+            return CheckOutcome(cid, window, "fail", detail=detail), None
+
+        eser = self.series(conv, hmax + 1)
         train = [lam for n in range(3) for lam in partitions_of(n)]
         test = [lam for n in (3, 4) for lam in partitions_of(n)]
-        window = (0, 4)
         fitted = {}
         for h in range(hmax + 1):
             value = None
             for lam in train:
                 const, linear = self._predicted(eser, h, lam, fitted)
                 if linear == self.field.zero:
-                    return (
-                        CheckOutcome(
-                            cid,
-                            window,
-                            "fail",
-                            detail="no central character fits under "
-                            "convention %s: c_%d undetermined" % (conv, h),
-                        ),
-                        None,
+                    return failed(
+                        "no central character fits under convention %s: "
+                        "c_%d undetermined" % (conv, h)
                     )
                 sol = (self._measured_eigenvalue(h, lam) - const) / linear
                 if value is None:
                     value = sol
                 elif sol != value:
-                    return (
-                        CheckOutcome(
-                            cid,
-                            window,
-                            "fail",
-                            detail="no central character fits under "
-                            "convention %s: training inconsistency at "
-                            "h=%d" % (conv, h),
-                        ),
-                        None,
+                    return failed(
+                        "no central character fits under convention %s: "
+                        "training inconsistency at h=%d" % (conv, h)
                     )
             fitted[h] = value
         for h in range(hmax + 1):
@@ -383,15 +374,9 @@ class ShcContext:
                 const, linear = self._predicted(eser, h, lam, fitted)
                 predicted = const + linear * fitted[h]
                 if predicted != self._measured_eigenvalue(h, lam):
-                    return (
-                        CheckOutcome(
-                            cid,
-                            window,
-                            "fail",
-                            detail="test-set mismatch under convention %s "
-                            "at h=%d, partition %r" % (conv, h, lam),
-                        ),
-                        None,
+                    return failed(
+                        "test-set mismatch under convention %s at h=%d, "
+                        "partition %r" % (conv, h, lam)
                     )
         detail = "fitted " + ", ".join(
             "c_%d = %s" % (h, fitted[h])
@@ -438,7 +423,7 @@ class ShcContext:
         """E_0 = c_0 identically in the central ring, both conventions."""
         ok = True
         for conv in GCONVENTIONS:
-            eser = central_series(self.field, 2, conv)
+            eser = self.series(conv, 2)
             if eser.coeffs[0] != eser.ring.c(0):
                 ok = False
         return CheckOutcome(
@@ -446,13 +431,15 @@ class ShcContext:
         )
 
     def preset_check(self, hmax=3) -> CheckOutcome:
-        """The omega preset substitutes cleanly: no central parameters
-        remain and the result is polynomial in the weight variable."""
+        """The omega preset substitutes cleanly into E_0..E_hmax: no central
+        parameters remain and the result is polynomial in the weight
+        variable."""
         ok = True
         for conv in GCONVENTIONS:
-            eser = central_series(self.field, hmax + 1, conv)
+            eser = self.series(conv, hmax + 1)
+            head = ESeries(eser.ring, eser.coeffs[: hmax + 1])
             ring = eser.ring
-            for poly in omega_preset(eser):
+            for poly in omega_preset(head):
                 for e in poly.terms:
                     if any(e[ring.c_index(i)] for i in range(ring.M + 1)):
                         ok = False

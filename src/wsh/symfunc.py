@@ -232,13 +232,13 @@ _SPARE_INDICES = 2
 
 class SymmetricFunctions:
     """The m<->p matrices, the pairing, the commuting operators and the
-    Jack matrix for one field context.  The Jack matrix, the pairing and
-    the Lax moments are cached per degree; the rest is read once per Jack
-    build."""
+    Jack matrix for one field context.  The pairing and the Lax moments
+    are cached per degree; the Jack matrix is built at each call, as
+    OpContext keeps the columns it reads, and the rest is read once per
+    Jack build."""
 
     def __init__(self, field):
         self.field = field
-        self._jack = {}
         self._gram = {}
         self._lax = {}
 
@@ -302,9 +302,7 @@ class SymmetricFunctions:
 
     def jack_matrix(self, n):
         """Columns: J_lambda in p-coordinates, aligned with partitions_of(n)."""
-        if n not in self._jack:
-            self._jack[n] = self._compute_jack(n)
-        return self._jack[n]
+        return self._compute_jack(n)
 
     def _check_hooks(self, n):
         """Raise where a factor of the norm <J_lam, J_lam>, lam a partition

@@ -13,7 +13,6 @@ from wsh.multipoly import MultiPoly
 from wsh.operators import FREE_RELATIONS, OpContext, WindowError
 from wsh.partitions import add_part, boxes, content_power_sum, partitions_of
 from wsh.presentation import T0, T1, FreeAlgebra, Realization
-from wsh.series import TruncSeries, series_exp
 from wsh.shc import G_POWER, CentralRing
 from wsh.shuffle import (
     ShuffleElem,
@@ -655,13 +654,94 @@ class FiltrationOracle:
         return self._spans[r, d]
 
 
+class TruncSeries:
+    """Power series sum c[i] s^i, exact modulo s^(order+1), with the ring
+    operations the oracle series below are built from."""
+
+    __slots__ = ("order", "coeffs", "zero")
+
+    def __init__(self, coeffs, order, zero):
+        coeffs = list(coeffs)[: order + 1]
+        coeffs += [zero] * (order + 1 - len(coeffs))
+        self.coeffs = coeffs
+        self.order = order
+        self.zero = zero
+
+    @staticmethod
+    def constant(c, order, zero):
+        return TruncSeries([c], order, zero)
+
+    def _wrap(self, coeffs):
+        return TruncSeries(coeffs, self.order, self.zero)
+
+    def __add__(self, other):
+        if not isinstance(other, TruncSeries):
+            return NotImplemented
+        return self._wrap([a + b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __sub__(self, other):
+        if not isinstance(other, TruncSeries):
+            return NotImplemented
+        return self._wrap([a - b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __neg__(self):
+        return self._wrap([-a for a in self.coeffs])
+
+    def __mul__(self, other):
+        if not isinstance(other, TruncSeries):
+            # ring scalar
+            return self._wrap([a * other for a in self.coeffs])
+        out = [self.zero] * (self.order + 1)
+        for i, a in enumerate(self.coeffs):
+            if a == self.zero:
+                continue
+            for j in range(self.order + 1 - i):
+                b = other.coeffs[j]
+                if b == self.zero:
+                    continue
+                out[i + j] = out[i + j] + a * b
+        return self._wrap(out)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, TruncSeries)
+            and self.order == other.order
+            and self.coeffs == other.coeffs
+        )
+
+    def shift(self, k):
+        """Multiply by s^k."""
+        if k == 0:
+            return self
+        return self._wrap([self.zero] * k + self.coeffs)
+
+    def __repr__(self):
+        return "TruncSeries(%r)" % (self.coeffs,)
+
+
+def series_exp_oracle(x: TruncSeries, one) -> TruncSeries:
+    """exp of a series with zero constant term as the Taylor sum of the
+    powers x^k / k!: the reference for ``series.series_exp``."""
+    if x.coeffs[0] != x.zero:
+        raise ValueError("series_exp_oracle requires zero constant term")
+    result = TruncSeries.constant(one, x.order, x.zero)
+    term = result
+    for k in range(1, x.order + 1):
+        tx = term * x
+        term = tx._wrap([c / k for c in tx.coeffs])
+        result = result + term
+    return result
+
+
 def _inv_power_oracle(a, l, order, ring):
     """(1 + a s)^(-l) for l >= 1."""
     f = ring.field
     coeffs = []
     p = f.one
     for k in range(order + 1):
-        coeffs.append(ring.const(f.from_int(comb(l + k - 1, k) if k else 1) * p))
+        coeffs.append(ring.one * (f.from_int(comb(l + k - 1, k) if k else 1) * p))
         p = p * (-a)
     return TruncSeries(coeffs, order, ring.zero)
 
@@ -674,7 +754,7 @@ def _log1p_oracle(a, order, ring):
     for k in range(1, order + 1):
         p = p * a
         sign = f.one if k % 2 else -f.one
-        coeffs.append(ring.const(sign * p / f.from_int(k)))
+        coeffs.append(ring.one * (sign * p / f.from_int(k)))
     return TruncSeries(coeffs, order, ring.zero)
 
 
@@ -687,13 +767,13 @@ def _g_difference_oracle(q, l, conv, order, ring):
     diff = _inv_power_oracle(-q, power, order, ring) - _inv_power_oracle(
         q, power, order, ring
     )
-    return diff * ring.const(f.one / f.from_int(l))
+    return diff * (f.one / f.from_int(l))
 
 
 def varphi_series_oracle(l, conv, order, ring):
     """The series multiplying d_{l+1} in the exponent, one G_l difference
-    per root q of the cubic kernel: the reference for
-    ``shc.varphi_series``."""
+    per root q of the cubic kernel: the reference for the d_{l+1} part of
+    ``shc.exponent``."""
     f = ring.field
     total = TruncSeries.constant(ring.zero, order, ring.zero)
     for q in (-f.one, f.kappa, f.one - f.kappa):
@@ -704,7 +784,7 @@ def varphi_series_oracle(l, conv, order, ring):
 def phi_series_oracle(l, conv, order, ring):
     """The series multiplying (-1)^(l+1) c_l in the exponent, from
     -log(1 + xi s) at l = 0 and (1 + xi s)^(-p) otherwise: the reference
-    for ``shc.phi_series``."""
+    for the c_l part of ``shc.exponent``."""
     f = ring.field
     xi = f.kappa - f.one
     if l == 0:
@@ -713,7 +793,7 @@ def phi_series_oracle(l, conv, order, ring):
     inner = _inv_power_oracle(xi, power, order, ring) - TruncSeries.constant(
         ring.one, order, ring.zero
     )
-    return (inner * ring.const(f.one / f.from_int(l))).shift(l)
+    return (inner * (f.one / f.from_int(l))).shift(l)
 
 
 def central_series_oracle(field, M, conv):
@@ -726,7 +806,7 @@ def central_series_oracle(field, M, conv):
         sign = field.one if l % 2 else -field.one
         cexp = cexp + phi_series_oracle(l, conv, M, ring) * (ring.c(l) * sign)
         dexp = dexp + varphi_series_oracle(l, conv, M, ring) * ring.d(l + 1)
-    total = series_exp(cexp, ring.one) * series_exp(dexp, ring.one)
+    total = series_exp_oracle(cexp, ring.one) * series_exp_oracle(dexp, ring.one)
     xi = field.kappa - field.one
     return [total.coeffs[l + 1] / xi for l in range(M)]
 

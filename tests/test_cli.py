@@ -82,6 +82,18 @@ def test_jack_bytes_are_pinned(capsys, argv, sha256):
             ("--series-order", "10", "--preset", "omega"),
             "632fb39f12d9a9a0e33cbbc7780c7de36257bde732bcd926e9c0d6508fdb87fc",
         ),
+        (
+            ("--series-order", "12"),
+            "73f9b548eaec1658b2dc19ddad1f9b096d2e6295f59ceb150c495f4724b22302",
+        ),
+        (
+            ("--series-order", "12", "--convention", "printed", "--preset", "omega"),
+            "1f6ce4cc2260c5958be7fb7fa2926c36a2640ccb8bcd018b36933ed68663a05f",
+        ),
+        (
+            ("--series-order", "12", "--specialize", "7/3", "--preset", "fitted"),
+            "846033b09e290d7fd15b0a9927773e0a9223f0b123b13769df7ccbbd1c62affb",
+        ),
     ],
 )
 def test_eseries_bytes_are_pinned(capsys, argv, sha256):
@@ -342,6 +354,22 @@ def test_zero_denominator_is_a_usage_error(capsys, argv):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "argument --specialize: invalid rational value: '1/0'" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("jack", "3"),
+        ("eseries", "--series-order", "3"),
+        ("verify", "positive", "--max-degree", "4"),
+    ],
+)
+def test_a_negative_fraction_reaches_specialize_detached(capsys, argv):
+    # argparse reads -3/5 as a flag unless it is attached with "="
+    detached = run(capsys, *argv, "--specialize", "-3/5")
+    attached = run(capsys, *argv, "--specialize=-3/5")
+    assert detached == attached
+    assert detached[0] in (0, 1) and detached[1]
 
 
 def test_a_skipped_relation_check_has_its_pass_id(capsys):

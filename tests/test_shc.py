@@ -16,14 +16,14 @@ from wsh._poly import padd
 from wsh.field import RationalFunctionField, SpecializedField
 from wsh.operators import GradedOp, OpContext
 from wsh.partitions import partitions_of
+from wsh.report import Config, emit_eseries, run_suite
 from wsh.shc import (
     GCONVENTIONS,
     CentralRing,
     ShcContext,
     central_series,
+    exponent,
     omega_preset,
-    phi_series,
-    varphi_series,
 )
 
 
@@ -65,29 +65,51 @@ def test_omega_preset_eliminates_central_parameters(field):
 
 @pytest.mark.parametrize("kappa", [None, Fraction(7, 3)])
 def test_kernel_series_match_the_oracles(field, kappa):
-    # phi_l and varphi_l from the one G_l builder against the separate
-    # log and inverse-power builders, l < 6, both conventions
+    # the closed-form coefficients of the exponent against the sum of the
+    # phi_l and varphi_l from the separate log and inverse-power builders,
+    # every l < M = 8, both conventions
     F = field if kappa is None else SpecializedField(kappa)
     ring = CentralRing(F, 8)
     for conv in GCONVENTIONS:
-        for l in range(6):
-            assert phi_series(l, conv, 8, ring) == phi_series_oracle(l, conv, 8, ring)
-            assert varphi_series(l, conv, 8, ring) == varphi_series_oracle(
-                l, conv, 8, ring
-            )
+        want = [ring.zero] * 9
+        for l in range(8):
+            sign = F.one if l % 2 else -F.one
+            phi = phi_series_oracle(l, conv, 8, ring) * (ring.c(l) * sign)
+            varphi = varphi_series_oracle(l, conv, 8, ring) * ring.d(l + 1)
+            want = [a + b + c for a, b, c in zip(want, phi.coeffs, varphi.coeffs)]
+        assert exponent(ring, conv) == want
 
 
 @pytest.mark.parametrize("kappa", [None, Fraction(7, 3)])
 def test_central_series_and_omega_preset_match_the_oracles(field, kappa):
-    # one exponential of the whole exponent against the product of the
-    # exponentials of its two halves, and the omega preset by substitution
-    # against the exponent loop, M <= 6
+    # the recurrence on the whole exponent against the product of the
+    # Taylor exponentials of its two halves, and the omega preset by
+    # substitution against the exponent loop, M <= 8
     F = field if kappa is None else SpecializedField(kappa)
-    for M in range(1, 7):
+    for M in range(1, 9):
         for conv in GCONVENTIONS:
             eser = central_series(F, M, conv)
             assert eser.coeffs == central_series_oracle(F, M, conv)
             assert omega_preset(eser) == omega_preset_oracle(eser)
+
+
+def test_the_series_is_built_once_per_convention(monkeypatch):
+    # the fock suite reads one series per convention, built at the largest
+    # order its checks ask for; eseries builds one
+    orders = []
+
+    def counted(field, M, conv):
+        orders.append((M, conv))
+        return central_series(field, M, conv)
+
+    monkeypatch.setattr("wsh.shc.central_series", counted)
+    monkeypatch.setattr("wsh.report.central_series", counted)
+    report = run_suite("fock", Config(N=6))
+    assert sorted(orders) == [(5, conv) for conv in sorted(GCONVENTIONS)]
+    assert report.status == "pass"
+    orders.clear()
+    emit_eseries(Config(series_order=4), "power")
+    assert orders == [(4, "power")]
 
 
 def test_negative_cross(shc6):
