@@ -146,6 +146,8 @@ def pgcd(a, b):
         return pprimitive(a)
     ca, cb = abs(pcontent(a)), abs(pcontent(b))
     g = gcd(ca, cb)
+    if len(a) == 1 or len(b) == 1:  # a nonzero constant: the gcd is a content
+        return (g,)
     a = pprimitive(a)
     b = pprimitive(b)
     if len(a) < len(b):

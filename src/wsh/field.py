@@ -12,7 +12,7 @@ coefficients of every ``MultiPoly`` (multiplied termwise) are the
 context's elements.  Operators are not: a ``GradedOp`` holds integer
 kappa-polynomials (coefficient tuples), or ints when kappa is specialized,
 over an int denominator, and meets field elements only as scalars and
-when a block is decoded.  The conversions between field elements and that
+as Jack eigenvalues.  The conversions between field elements and that
 ring format are ``linalg.cleared`` and ``linalg.decoded``; the
 fraction-free kernels (the ``linalg`` matrix products and echelon, and
 the packed terms of ``shuffle.star_product``) otherwise branch on

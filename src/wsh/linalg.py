@@ -3,7 +3,9 @@
 Below the field there is one format: integer kappa-polynomials
 (coefficient tuples), or ints when kappa is specialized, over a
 denominator.  ``cleared`` and ``decoded`` convert field elements to it and
-back.  Four layers work on it:
+back; no operator is decoded, and ``decoded`` serves only the D_{0,2} block
+of each Jack-basis build (``symfunc.SymmetricFunctions.commuting_blocks``).
+Four layers work on it:
 
 * ring matrix products: the product of int matrices (``_int_mat_mul``)
   and, on matrices of integer kappa-polynomials, ``ring_mat_mul``, which

@@ -4,16 +4,21 @@ An operator of rank r is stored per source degree n as a matrix from the
 degree-n component to the degree-(n+r) component, both in power-sum
 coordinates.  The matrices are kept in the ring their entries lie in, not
 in the field: every entry of the D_{r,d} is an integer kappa-polynomial,
-up to one int denominator per operator (the z-ratios of the lowering
-operators, rational scalars such as the 1/2 of the quadratic relation), so
+up to one int denominator per operator (rational scalars such as the 1/2
+of the quadratic relation, the powers of q in D_{0,l} at kappa = p/q), so
 a block holds Z[kappa] numerators as coefficient tuples in exact mode and
-ints at kappa = p/q, over one denominator (GradedOp).  Compose is a ring
-matrix product, and sums, scaling and the zero test are ring arithmetic;
-the relation checks run at one Kronecker point kappa = 2^W, on ints
-(``GradedOp.at_point``).  Field elements appear only where a block is
-decoded (``GradedOp.block``): the lowering operators and the tests.  Every
-identity check reports the window of source degrees it actually verified;
-a pass is always a pass-on-window claim.
+ints at kappa = p/q, over one denominator (GradedOp).  Every generator is
+built from integer data: p_l, the identity and d/dp_1 send each power sum
+to an integer multiple of one power sum (``OpContext._monomial``), D_{0,l}
+comes from the Lax moments, and D_{1,k} = [D_{0,k+1}, p_1] and D_{-1,k} =
+[d/dp_1, D_{0,k+1}] are brackets of these.  Compose is a ring matrix
+product, and sums, scaling and the zero test are ring arithmetic; the
+relation checks run at one Kronecker point kappa = 2^W, on ints
+(``GradedOp.at_point``).  No block is decoded into field elements: they
+meet operators only as scalars (``GradedOp.scale``) and as the Jack
+eigenvalues (``OpContext.jack_eigenvalues``).  Every identity check
+reports the window of source degrees it actually verified; a pass is
+always a pass-on-window claim.
 
 The relations of the presentation are not written here: OpContext
 realizes the free-algebra relation elements of ``presentation`` on its
@@ -65,14 +70,12 @@ class GradedOp:
     tuple with no trailing zeros (zero is ``()``).  Specialized mode (kappa
     = p/q): an entry is an int.  ``den`` is an int in both: every D_{r,d}
     is integral over Z[kappa] up to a rational scalar, D_{-1,k} included
-    (kappa times an adjoint for the Jack pairing), so ``from_field`` and
-    ``scale`` refuse a kappa-polynomial denominator.
+    (a bracket of d/dp_1 with D_{0,k+1}), so ``scale`` refuses a
+    kappa-polynomial denominator.
 
     ``compose`` is one ring matrix product per block (``linalg.
     ring_product``); ``+``, ``-`` and ``scale`` work entrywise on the
-    numerators.  ``block(n)`` decodes one block into field elements, for
-    the lowering operators and the tests; the operator algebra never
-    does.
+    numerators.  No method decodes a block into field elements.
     """
 
     __slots__ = ("rank", "blocks", "field", "den")
@@ -85,28 +88,9 @@ class GradedOp:
         self.field = field
         self.den = den
 
-    @classmethod
-    def from_field(cls, rank, blocks, field):
-        """The operator with the given field-element matrices, over the
-        least common denominator of their entries."""
-        den, nums = linalg.cleared(
-            [x for b in blocks.values() for row in b for x in row], field
-        )
-        it = iter(nums)
-        ring = {
-            n: [[next(it) for _ in row] for row in b] for n, b in blocks.items()
-        }
-        return cls(rank, ring, field, _int_den(den))
-
     @property
     def window(self):
         return (min(self.blocks), max(self.blocks))
-
-    def block(self, n):
-        """The block at source degree n as a matrix of field elements."""
-        if n not in self.blocks:
-            raise WindowError("degree %d outside operator window" % n)
-        return linalg.decoded(self.blocks[n], self.den, self.field)
 
     def _common(self, other):
         if self.rank != other.rank:
@@ -320,31 +304,44 @@ class OpContext:
 
     # -- generators --------------------------------------------------------
 
+    def _monomial(self, rank, degrees, image) -> GradedOp:
+        """The operator of the given rank on the source degrees ``degrees``
+        that sends p_mu to c·p_nu, (nu, c) = image(mu) with c an int (zero
+        for no image), each entry in the ring format: (c,) in exact mode,
+        c at kappa = p/q."""
+        exact = self.field.mode == "exact"
+        zero = _ring(self.field)[0]
+        blocks = {}
+        for n in degrees:
+            src = partitions_of(n)
+            idx = {nu: i for i, nu in enumerate(partitions_of(n + rank))}
+            mat = [[zero] * len(src) for _ in idx]
+            for j, mu in enumerate(src):
+                nu, c = image(mu)
+                if c:
+                    mat[idx[nu]][j] = (c,) if exact else c
+            blocks[n] = mat
+        return GradedOp(rank, blocks, self.field)
+
     def multiplication(self, l) -> GradedOp:
         """Multiplication by the power sum p_l (rank l, order 0), built at
         each call: drd(l, 0) keeps it."""
         if not 1 <= l <= self.N:
             raise WindowError("power-sum degree %d beyond truncation" % l)
-        zero, one = _ring(self.field)
-        blocks = {}
-        for n in range(0, self.N - l + 1):
-            src = partitions_of(n)
-            dst = partitions_of(n + l)
-            idx = {lam: i for i, lam in enumerate(dst)}
-            mat = [[zero] * len(src) for _ in dst]
-            for j, lam in enumerate(src):
-                mat[idx[add_part(lam, l)]][j] = one
-            blocks[n] = mat
-        return GradedOp(l, blocks, self.field)
+        return self._monomial(l, range(self.N - l + 1), lambda mu: (add_part(mu, l), 1))
 
     def identity_op(self) -> GradedOp:
         """Rank-0 identity on every degree of the truncation window."""
-        zero, one = _ring(self.field)
-        blocks = {}
-        for n in range(self.N + 1):
-            k = len(partitions_of(n))
-            blocks[n] = [[one if i == j else zero for j in range(k)] for i in range(k)]
-        return GradedOp(0, blocks, self.field)
+        return self._monomial(0, range(self.N + 1), lambda mu: (mu, 1))
+
+    def derivative(self) -> GradedOp:
+        """The derivation d/dp_1 (rank -1): p_mu to m_1(mu) times p_mu with
+        one part 1 removed, the last part of mu when m_1(mu) > 0.  Under
+        the pairing <p_lam, p_mu> = delta z_lam kappa^-len(lam) it is kappa
+        times the adjoint of multiplication by p_1."""
+        return self._monomial(
+            -1, range(1, self.N + 1), lambda mu: (mu[:-1], mu.count(1))
+        )
 
     def sekiguchi(self, l) -> GradedOp:
         """The commuting rank-0 operator D_{0,l}, diagonal on the Jack basis
@@ -395,23 +392,12 @@ class OpContext:
         return self._dprime[r, d]
 
     def lowering(self, k) -> GradedOp:
-        """D_{-1,k}: kappa times the adjoint of d1(k) for the Jack pairing
-        (diagonal in power-sum coordinates)."""
+        """D_{-1,k} = [d/dp_1, D_{0,k+1}]: kappa times the adjoint of d1(k) =
+        [D_{0,k+1}, p_1] for the pairing of ``derivative``, since D_{0,l} is
+        self-adjoint (diagonal on the orthogonal Jack basis).  At k = 0 it
+        is d/dp_1 itself, D_{0,1} being the degree operator."""
         if k not in self._lower:
-            field = self.field
-            up = self.d1(k)
-            blocks = {}
-            for n in up.blocks:
-                A = up.block(n)
-                g_src = self.sym.gram_diag(n)
-                g_dst = [field.kappa * g for g in self.sym.gram_diag(n + 1)]
-                # adjoint block: p(n) x p(n+1), source degree n+1
-                blocks[n + 1] = [
-                    [A[j][i] * g_dst[j] / g_src[i] if A[j][i] else field.zero
-                     for j in range(len(A))]
-                    for i in range(len(A[0]))
-                ]
-            self._lower[k] = GradedOp.from_field(-1, blocks, field)
+            self._lower[k] = self.derivative().commutator(self.sekiguchi(k + 1))
         return self._lower[k]
 
     # -- spectral helpers ---------------------------------------------------

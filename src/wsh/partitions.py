@@ -8,7 +8,6 @@ lexicographic, which refines dominance with the most dominant first.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial
 
 
 @lru_cache(maxsize=None)
@@ -36,14 +35,6 @@ def multiplicities(lam):
     for a in lam:
         out[a] = out.get(a, 0) + 1
     return out
-
-
-def z_factor(lam) -> int:
-    """z_lambda = prod_i i^{m_i} m_i! (order of the centralizer in S_n)."""
-    z = 1
-    for part, m in multiplicities(lam).items():
-        z *= part**m * factorial(m)
-    return z
 
 
 def boxes(lam):

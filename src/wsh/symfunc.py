@@ -1,6 +1,6 @@
 """Symmetric functions over F as power-sum coordinate vectors, one degree
-at a time: the m<->p change of basis, the deformed pairing, the commuting
-operators D_{0,l} and the Jack matrix.
+at a time: the m<->p change of basis, the commuting operators D_{0,l} and
+the Jack matrix.
 
 A homogeneous symmetric function of degree n is its vector of power-sum
 coordinates, indexed by partitions_of(n); operators are matrices on these
@@ -36,14 +36,7 @@ from math import comb, factorial
 from . import linalg
 from .field import RationalFunctionField
 from .linalg import _slot_width, _unpack
-from .partitions import (
-    add_part,
-    boxes,
-    dominates,
-    multiplicities,
-    partitions_of,
-    z_factor,
-)
+from .partitions import add_part, boxes, dominates, multiplicities, partitions_of
 
 _DEGENERATE = "Jack basis degenerates at kappa = %s; rerun with a new kappa value"
 
@@ -231,15 +224,13 @@ _SPARE_INDICES = 2
 
 
 class SymmetricFunctions:
-    """The m<->p matrices, the pairing, the commuting operators and the
-    Jack matrix for one field context.  The pairing and the Lax moments
-    are cached per degree; the Jack matrix is built at each call, as
-    OpContext keeps the columns it reads, and the rest is read once per
-    Jack build."""
+    """The m<->p matrices, the commuting operators and the Jack matrix
+    for one field context.  The Lax moments are cached per degree; the
+    Jack matrix is built at each call, as OpContext keeps the columns it
+    reads, and the rest is read once per Jack build."""
 
     def __init__(self, field):
         self.field = field
-        self._gram = {}
         self._lax = {}
 
     # -- transition matrices ---------------------------------------------
@@ -249,16 +240,6 @@ class SymmetricFunctions:
 
     def m_to_p(self, n):
         return [list(map(self.field.from_fraction, row)) for row in _m_to_p_frac(n)]
-
-    def gram_diag(self, n):
-        """Diagonal of the Jack pairing in the p-basis at degree n."""
-        if n not in self._gram:
-            alpha = self.field.one / self.field.kappa
-            self._gram[n] = [
-                self.field.from_int(z_factor(lam)) * alpha ** len(lam)
-                for lam in partitions_of(n)
-            ]
-        return self._gram[n]
 
     # -- the commuting operators D_{0,l} ----------------------------------
 

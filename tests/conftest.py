@@ -1,5 +1,5 @@
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations, permutations
 from math import comb, factorial, prod
 
@@ -10,8 +10,14 @@ from wsh._poly import pmul
 from wsh.field import FieldElem, RationalFunctionField
 from wsh.linalg import _pack, _slot_width, _unpack
 from wsh.multipoly import MultiPoly
-from wsh.operators import FREE_RELATIONS, OpContext, WindowError
-from wsh.partitions import add_part, boxes, content_power_sum, partitions_of
+from wsh.operators import FREE_RELATIONS, GradedOp, OpContext, WindowError, _int_den
+from wsh.partitions import (
+    add_part,
+    boxes,
+    content_power_sum,
+    multiplicities,
+    partitions_of,
+)
 from wsh.presentation import T0, T1, FreeAlgebra, Realization
 from wsh.shc import G_POWER, CentralRing
 from wsh.shuffle import (
@@ -23,6 +29,45 @@ from wsh.shuffle import (
 from wsh.symfunc import SymmetricFunctions
 
 
+def block(op, n):
+    """The block of a GradedOp at source degree n as a matrix of field
+    elements; a degree outside its window is a WindowError."""
+    if n not in op.blocks:
+        raise WindowError("degree %d outside operator window" % n)
+    return linalg.decoded(op.blocks[n], op.den, op.field)
+
+
+def from_field(rank, blocks, field):
+    """The GradedOp with the given field-element matrices, over the least
+    common denominator of their entries; a kappa-polynomial denominator is
+    refused (``operators._int_den``)."""
+    den, nums = linalg.cleared(
+        [x for b in blocks.values() for row in b for x in row], field
+    )
+    it = iter(nums)
+    ring = {n: [[next(it) for _ in row] for row in b] for n, b in blocks.items()}
+    return GradedOp(rank, ring, field, _int_den(den))
+
+
+def z_factor(lam) -> int:
+    """z_lambda = prod_i i^{m_i} m_i! (order of the centralizer in S_n)."""
+    z = 1
+    for part, m in multiplicities(lam).items():
+        z *= part**m * factorial(m)
+    return z
+
+
+@lru_cache(maxsize=None)
+def gram_diag(sym, n):
+    """Diagonal of the Jack pairing in the p-basis at degree n, kept per
+    SymmetricFunctions and degree."""
+    alpha = sym.field.one / sym.field.kappa
+    return [
+        sym.field.from_int(z_factor(lam)) * alpha ** len(lam)
+        for lam in partitions_of(n)
+    ]
+
+
 def column(op, lam):
     """The image of p_lam under op: the nonzero entries of its column,
     keyed by partition."""
@@ -31,7 +76,7 @@ def column(op, lam):
     zero = op.field.zero
     return {
         mu: row[j]
-        for mu, row in zip(partitions_of(n + op.rank), op.block(n))
+        for mu, row in zip(partitions_of(n + op.rank), block(op, n))
         if row[j] != zero
     }
 
@@ -41,7 +86,7 @@ def pairing(sym, n, u, v):
     sum over lambda of u_lambda v_lambda z_lambda alpha^len(lambda)."""
     zero = sym.field.zero
     acc = zero
-    for gi, a, b in zip(sym.gram_diag(n), u, v):
+    for gi, a, b in zip(gram_diag(sym, n), u, v):
         if a != zero and b != zero:
             acc = acc + gi * a * b
     return acc
@@ -142,7 +187,7 @@ class FieldOp:
     @classmethod
     def of(cls, op):
         """The decoded blocks of a GradedOp."""
-        return cls(op.rank, {n: op.block(n) for n in op.blocks}, op.field)
+        return cls(op.rank, {n: block(op, n) for n in op.blocks}, op.field)
 
     def _common(self, other):
         if self.rank != other.rank:
@@ -263,8 +308,8 @@ class FieldOpContext:
             F = self.field
             blocks = {}
             for n, A in self.d1(k).blocks.items():
-                g_src = self.sym.gram_diag(n)
-                g_dst = self.sym.gram_diag(n + 1)
+                g_src = gram_diag(self.sym, n)
+                g_dst = gram_diag(self.sym, n + 1)
                 blocks[n + 1] = [
                     [A[j][i] * g_dst[j] / g_src[i] for j in range(len(A))]
                     for i in range(len(A[0]))
@@ -449,7 +494,7 @@ def jack_norms_oracle(sym, n):
 def jack_matrix_inv_oracle(sym, n):
     """C^-1 = diag(1/<J_lam,J_lam>) C^T diag(gram_diag(n)) for the Jack
     matrix C at degree n, from the orthogonality of the Jack basis."""
-    g = sym.gram_diag(n)
+    g = gram_diag(sym, n)
     return [
         [x * gi / norm for x, gi in zip(col, g)]
         for col, norm in zip(zip(*sym.jack_matrix(n)), jack_norms_oracle(sym, n))
@@ -462,7 +507,7 @@ def jack_conjugate_oracle(ctx, op, n):
     F = ctx.field
     C = ctx.sym.jack_matrix(n)
     Cinv = jack_matrix_inv_oracle(ctx.sym, n)
-    return mat_mul_oracle(Cinv, mat_mul_oracle(op.block(n), C, F), F)
+    return mat_mul_oracle(Cinv, mat_mul_oracle(block(op, n), C, F), F)
 
 
 def jack_eigenvalues_oracle(ctx, op, n):
@@ -470,7 +515,7 @@ def jack_eigenvalues_oracle(ctx, op, n):
     product B·C, one field division and p(n) field products per column:
     the construction ``OpContext.jack_eigenvalues`` replaced."""
     C = ctx.sym.jack_matrix(n)
-    image = linalg.mat_mul(op.block(n), C, ctx.field)
+    image = linalg.mat_mul(block(op, n), C, ctx.field)
     eigs = []
     for j in range(len(C)):
         # the last row, p_(1^n), is 1 in every Jack column

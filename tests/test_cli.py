@@ -159,6 +159,17 @@ PINNED_VERIFY = [
         0,
         "c5fcc5ca197764433c116bf37e27b804a9a7b0194f260111910b2a6d1ea9b2b6",
     ),
+    # the lowering operators at two more values of kappa, one negative
+    (
+        ("fock", "--max-degree", "6", "--specialize=-3/5"),
+        0,
+        "78791756adfee24d8797c2218a7d04b6c27e63c840e21db9cb4cd366b70ba100",
+    ),
+    (
+        ("fock", "--max-degree", "7", "--specialize", "1/2"),
+        0,
+        "200bf0d839eb5c1c51b0cff44a32a75c4e038d64591a9af77976eef15fbfe42b",
+    ),
 ]
 
 

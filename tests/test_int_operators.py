@@ -10,14 +10,19 @@ import pytest
 from conftest import (
     FieldOp,
     FieldOpContext,
+    block,
+    column,
     evaluate_vectors_oracle,
     fraction_rank_oracle,
+    from_field,
     mat_is_zero,
+    pairing,
 )
 
 from wsh import linalg
 from wsh.field import FieldElem, RationalFunctionField, SpecializedField
 from wsh.operators import GradedOp, OpContext, WindowError
+from wsh.partitions import add_part, partitions_of
 from wsh.presentation import PresentationContext, T1, random_elements
 from wsh.report import Config, fock_suite, positive_suite, presentation_suite
 from wsh.shc import ShcContext
@@ -42,7 +47,7 @@ def assert_matches(op, ref):
     assert op.rank == ref.rank
     assert sorted(op.blocks) == sorted(ref.blocks)
     for n, b in ref.blocks.items():
-        assert op.block(n) == b, "block %d" % n
+        assert block(op, n) == b, "block %d" % n
     assert op.is_zero() == ref.is_zero()
 
 
@@ -68,9 +73,30 @@ def test_generators_equal_the_oracle(pair):
             assert_matches(ctx.drd(r, d), ref.drd(r, d))
         for d in range(3):
             assert_matches(ctx.dprime(r, d), ref.dprime(r, d))
-    for k in range(4):
+    for k in range(8):
         assert_matches(ctx.lowering(k), ref.lowering(k))
     assert_matches(ctx.identity_op(), ref.identity_op())
+
+
+def test_derivative_is_kappa_times_the_adjoint_of_p1(pair):
+    # <d/dp_1 p_lam, p_mu> = kappa <p_lam, p_1 p_mu> for every lam of n and
+    # mu of n - 1, and D_{-1,0} = [d/dp_1, D_{0,1}] is d/dp_1 itself
+    ctx, _ = pair
+    F, sym = ctx.field, ctx.sym
+    op = ctx.derivative()
+    assert op.rank == -1 and op.window == (1, N)
+    for n in range(1, N + 1):
+        lo, hi = partitions_of(n - 1), partitions_of(n)
+        for lam in hi:
+            image = column(op, lam)
+            down = [image.get(mu, F.zero) for mu in lo]
+            unit = [F.one if nu == lam else F.zero for nu in hi]
+            for mu in lo:
+                p1mu = [F.one if nu == add_part(mu, 1) else F.zero for nu in hi]
+                at_mu = [F.one if nu == mu else F.zero for nu in lo]
+                lhs = pairing(sym, n - 1, down, at_mu)
+                assert lhs == F.kappa * pairing(sym, n, unit, p1mu), (lam, mu)
+    assert ctx.lowering(0) == op
 
 
 def positive_relations():
@@ -148,7 +174,7 @@ def test_flattened_operators_certify_the_oracle_rank(pair):
     images = [ctx.realize.word(w) for w in words]
     rows = GradedOp.coordinates(images)
     vecs = [
-        [x for n in sorted(op.blocks) for row in op.block(n) for x in row]
+        [x for n in sorted(op.blocks) for row in block(op, n) for x in row]
         for op in images
     ]
     for pt in linalg.CERTIFICATE_POINTS:
@@ -170,9 +196,9 @@ def test_kappa_polynomial_denominators_are_refused(ctx6):
         d1.scale(a)
     with pytest.raises(ValueError, match="not an integer"):
         s2.scale(b)
-    blocks = {n: [[x * a for x in row] for row in d1.block(n)] for n in d1.blocks}
+    blocks = {n: [[x * a for x in row] for row in block(d1, n)] for n in d1.blocks}
     with pytest.raises(ValueError, match="not an integer"):
-        GradedOp.from_field(1, blocks, F)
+        from_field(1, blocks, F)
     # a rational scalar and a kappa-polynomial numerator are kept
     x = d1.scale(F.kappa / F.from_int(6)) + d1.compose(s2).scale(F.one / 4)
     assert x.den == 12
@@ -237,7 +263,7 @@ def test_exact_entries_are_canonical(ctx6):
     # (1 + kappa) x - kappa x cancels the leading coefficient of every entry
     # of d1 and d1·s2, and x - x every coefficient
     ops = {
-        "from_field": low,
+        "lowering": low,
         "compose": d1s2,
         "+": d1s2.scale(k + 1) + d1s2.scale(-k),
         "-": d1.scale(k + 1) - d1.scale(k),
@@ -324,10 +350,10 @@ def test_bounds_attained_with_degree_and_inner_dimension():
             up = _single(F, 3, 0, [[p], [p], [p]])  # degree 0 -> 3
             down = _single(F, -3, 3, [[p, p, p]])  # degree 3 -> 0
             prod = down.compose(up)
-            assert prod.block(0)[0][0].num[d] == 3 * (d + 1) * m * m
+            assert block(prod, 0)[0][0].num[d] == 3 * (d + 1) * m * m
             assert_matches(prod, FieldOp.of(down).compose(FieldOp.of(up)))
             scaled = up.scale(FieldElem(p))
-            assert scaled.block(0)[0][0].num[d] == (d + 1) * m * m
+            assert block(scaled, 0)[0][0].num[d] == (d + 1) * m * m
             assert_matches(scaled, FieldOp.of(up).scale(FieldElem(p)))
 
 
@@ -339,7 +365,6 @@ def test_operator_algebra_does_no_field_arithmetic(monkeypatch, kappa):
     F = make_field(kappa)
     ctx = OpContext(F, 6)
     s2, s3, d1, d2 = ctx.sekiguchi(2), ctx.sekiguchi(3), ctx.d1(1), ctx.drd(2, 1)
-    low, mult, one = ctx.lowering(2), ctx.multiplication(2), ctx.identity_op()
     k, half = F.kappa, F.one / F.from_int(2)
     three, kk = F.from_int(-3), F.kappa * F.kappa - F.one
     counts = Counter()
@@ -357,6 +382,8 @@ def test_operator_algebra_does_no_field_arithmetic(monkeypatch, kappa):
     monkeypatch.setattr(
         Fraction, "__new__", staticmethod(counting("Fraction", Fraction.__new__))
     )
+    # the generators built from integer data, D_{-1,2} a commutator of them
+    low, mult, one = ctx.lowering(2), ctx.multiplication(2), ctx.identity_op()
     ops = [
         s3.compose(s2),
         d1.compose(s3) - s3.compose(d1),

@@ -5,7 +5,10 @@ from fractions import Fraction
 import pytest
 from conftest import (
     FiltrationOracle,
+    block,
     column,
+    from_field,
+    gram_diag,
     jack_matrix_oracle,
     mat_inv_oracle,
     mat_mul_oracle,
@@ -15,7 +18,7 @@ from conftest import (
 from wsh import linalg, symfunc
 from wsh.checks import zero_check
 from wsh.field import FieldElem, SpecializedField
-from wsh.operators import GradedOp, OpContext, WindowError
+from wsh.operators import OpContext, WindowError
 from wsh.partitions import add_part, content_power_sum, partitions_of
 from wsh.report import _spectrum_check
 from wsh.symfunc import SymmetricFunctions
@@ -57,7 +60,7 @@ def test_sekiguchi_matches_entrywise_conjugation(field, kappa):
         for l, op in enumerate(ops, 1):
             eigs = [content_power_sum(lam, l, F) for lam in partitions_of(n)]
             mid = [[c * e for c, e in zip(row, eigs)] for row in C]
-            assert op.block(n) == mat_mul_oracle(mid, Cinv, F)
+            assert block(op, n) == mat_mul_oracle(mid, Cinv, F)
 
 
 @pytest.mark.parametrize("kappa", [None, Fraction(7, 3)])
@@ -72,7 +75,7 @@ def test_closed_form_sekiguchi_equals_jack_conjugation(field, kappa):
         for l in (1, 2):
             eigs = [content_power_sum(lam, l, F) for lam in partitions_of(n)]
             mid = [[c * e for c, e in zip(row, eigs)] for row in C]
-            assert ctx.sekiguchi(l).block(n) == mat_mul_oracle(mid, Cinv, F)
+            assert block(ctx.sekiguchi(l), n) == mat_mul_oracle(mid, Cinv, F)
 
 
 def test_sekiguchi_builds_without_a_jack_basis(field, ctx6, monkeypatch):
@@ -103,7 +106,7 @@ def test_spectrum_check_names_a_wrong_eigenvalue(field, l, wrong):
     # and so the operator, integral over Z[kappa]
     ctx = OpContext(field, 4)
     op = ctx.sekiguchi(l)
-    blocks = {n: op.block(n) for n in op.blocks}
+    blocks = {n: block(op, n) for n in op.blocks}
     for n in sorted({sum(lam) for lam in wrong}):
         off = [field.one if lam in wrong else field.zero for lam in partitions_of(n)]
         shift = sekiguchi_conjugation_oracle(ctx.sym, l, n, off)
@@ -113,7 +116,7 @@ def test_spectrum_check_names_a_wrong_eigenvalue(field, l, wrong):
             for lam in partitions_of(n)
         ]
         blocks[n] = sekiguchi_conjugation_oracle(ctx.sym, l, n, eigs)
-    ctx._sek[l] = GradedOp.from_field(0, blocks, field)
+    ctx._sek[l] = from_field(0, blocks, field)
     outcomes = {o.id: o for o in (_spectrum_check(ctx, m) for m in range(1, 5))}
     assert sorted(outcomes) == ["spectrum(%d)" % m for m in (1, 2, 3, 4)]
     bad = outcomes.pop("spectrum(%d)" % l)
@@ -141,7 +144,7 @@ def test_sekiguchi_one_comes_from_the_lax_rows(field, monkeypatch):
         op = ctx.sekiguchi(1)
         for n in range(ctx.N + 1):
             d = len(partitions_of(n))
-            assert op.block(n) == [
+            assert block(op, n) == [
                 [F.from_int(2 * n) if i == j else F.zero for j in range(d)]
                 for i in range(d)
             ]
@@ -249,10 +252,10 @@ def test_lowering_is_pairing_adjoint(ctx6):
     n = 3
     parts_lo = partitions_of(n - 1)
     parts_hi = partitions_of(n)
-    g_lo = sym.gram_diag(n - 1)
-    g_hi = sym.gram_diag(n)
-    A = up.block(n - 1)  # maps degree 2 -> 3
-    B = down.block(n)  # maps degree 3 -> 2
+    g_lo = gram_diag(sym, n - 1)
+    g_hi = gram_diag(sym, n)
+    A = block(up, n - 1)  # maps degree 2 -> 3
+    B = block(down, n)  # maps degree 3 -> 2
     for i in range(len(parts_lo)):
         for j in range(len(parts_hi)):
             # <up e_i, e_j> * kappa = <e_i, down e_j> * (with diagonal Gram)
@@ -263,7 +266,7 @@ def test_missing_block_raises(ctx6):
     # a degree outside the window is a window error (a skipped check), not
     # a lookup failure
     with pytest.raises(WindowError, match="degree 0 outside operator window"):
-        ctx6.d1(0).compose(ctx6.lowering(0)).block(0)
+        block(ctx6.d1(0).compose(ctx6.lowering(0)), 0)
 
 
 def test_ad_nested(ctx6):

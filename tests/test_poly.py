@@ -47,6 +47,15 @@ class TestBackend:
         assert P.pgcd((), (3, 6)) == (1, 2)
         assert P.pgcd((4, 8), ()) == (1, 2)
 
+    def test_gcd_with_a_constant(self, P):
+        # a nonzero constant against a polynomial with content: the gcd of
+        # the contents, on either side and whatever the signs
+        for c in (1, -1, 6, -6, 4, 9, -35):
+            for a in ((6, -9, 12), (-4, 0, 8), (10, 15), (-14,), (7, 1), (1, 0, 1)):
+                want = (gcd(c, _pure.pcontent(a)),)
+                assert P.pgcd((c,), a) == want
+                assert P.pgcd(a, (c,)) == want
+
 
 def test_kernel_layout_is_pinned():
     # wshbench's setup probe reads POLY_BACKEND, and its tracer counts

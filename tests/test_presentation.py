@@ -4,7 +4,7 @@ import hashlib
 from fractions import Fraction
 
 import pytest
-from conftest import column, evaluate_vectors_oracle, fraction_rank_oracle
+from conftest import block, column, evaluate_vectors_oracle, fraction_rank_oracle
 
 from wsh import linalg
 from wsh.cli import main
@@ -231,7 +231,7 @@ def _field_rows(images):
     the sorted union of the dominant exponent vectors."""
     if isinstance(images[0], GradedOp):
         return [
-            [x for n in sorted(op.blocks) for row in op.block(n) for x in row]
+            [x for n in sorted(op.blocks) for row in block(op, n) for x in row]
             for op in images
         ]
     basis = sorted(set().union(*(e.terms for e in images)))

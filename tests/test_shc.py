@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from conftest import (
     central_series_oracle,
+    from_field,
     jack_conjugate_oracle,
     jack_eigenvalues_oracle,
     omega_preset_oracle,
@@ -138,7 +139,7 @@ def test_jack_eigenvalues_match_the_conjugation_oracle(shc6):
             [F.from_int(len(lam)) if i == j else F.zero for j in range(len(ps))]
             for i, lam in enumerate(ps)
         ]
-    lengths = GradedOp.from_field(0, blocks, F)
+    lengths = from_field(0, blocks, F)
     ops = [shc6.e_operator(0, h) for h in range(5)] + [ctx.sekiguchi(2), lengths]
     for op in ops:
         for n in sorted(op.blocks):

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import (
+    gram_diag,
     identity_matrix,
     jack_matrix_inv_oracle,
     jack_matrix_oracle,
@@ -14,12 +15,13 @@ from conftest import (
     laplace_beltrami_oracle,
     mat_inv_oracle,
     pairing,
+    z_factor,
 )
 
 from wsh import linalg
 from wsh.field import RationalFunctionField, SpecializedField
 from wsh.linalg import _slot_width, _unpack
-from wsh.partitions import boxes, content_power_sum, dominates, partitions_of, z_factor
+from wsh.partitions import boxes, content_power_sum, dominates, partitions_of
 from wsh.symfunc import (
     SymmetricFunctions,
     _LaxMoments,
@@ -78,7 +80,7 @@ def test_pairing_diagonal_on_power_sums():
     k = F.kappa
     for n in range(1, 5):
         parts = partitions_of(n)
-        diag = S.gram_diag(n)
+        diag = gram_diag(S, n)
         unit = identity_matrix(len(parts), F)
         for i, lam in enumerate(parts):
             expect = F.from_int(z_factor(lam)) / k ** len(lam)
